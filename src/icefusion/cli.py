@@ -10,16 +10,18 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .errors import IceFusionError, UsageError
-from .importance import analyze, compare_variants, top_k
+from .importance import analyze, compare_variants, ranked_groups, top_k
 from .network import ModelConfig, build
 from .rng import SeededRng
 from .scenes import SceneConfig, generate
 from .storage import (
     ReportFile,
-    groups_csv_path,
+    atomic_write_text,
+    dump_json,
     load_checkpoint,
     load_dataset,
     manifest_dataset_id,
@@ -32,47 +34,37 @@ from .storage import (
     write_report,
 )
 from .training import NATIVE_GRID, UPSAMPLED_GRID, TrainConfig, collect_mixing_stats, train
-from .storage import _atomic_write_bytes, _dump_json  # shared file discipline
 from .version import __version__
 
 __all__ = ["main", "entry"]
 
 
 def _cmd_gen_data(args) -> int:
+    if args.scenes < 1:
+        raise UsageError(f"--scenes must be at least 1, got {args.scenes}")
+    base = SceneConfig(
+        height=args.height,
+        width=args.width,
+        mwr_factor=args.mwr_factor,
+        mwr_channels=args.mwr_channels,
+        sar_ambiguity=args.sar_ambiguity,
+        mwr_noise=args.mwr_noise,
+        mwr_informative_fraction=args.informative_fraction,
+        blob_scale=args.blob_scale,
+        edge_amplitude=args.edge_amplitude,
+    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     master = SeededRng(args.seed)
     names = []
     for i in range(args.scenes):
-        scene_seed = int(master.derive(i).integers(2**63))
-        cfg = SceneConfig(
-            height=args.height,
-            width=args.width,
-            mwr_factor=args.mwr_factor,
-            mwr_channels=args.mwr_channels,
-            sar_ambiguity=args.sar_ambiguity,
-            mwr_noise=args.mwr_noise,
-            mwr_informative_fraction=args.informative_fraction,
-            blob_scale=args.blob_scale,
-            edge_amplitude=args.edge_amplitude,
-            seed=scene_seed,
-        )
-        scene = generate(cfg)
+        cfg = replace(base, seed=int(master.derive(i).integers(2**63)))
         name = f"scene-{i:04d}.scene"
-        save_scene(scene, cfg, out / name)
+        save_scene(generate(cfg), cfg, out / name)
         names.append(name)
-    generator = {
-        "height": args.height,
-        "width": args.width,
-        "mwr_factor": args.mwr_factor,
-        "mwr_channels": args.mwr_channels,
-        "sar_ambiguity": args.sar_ambiguity,
-        "mwr_noise": args.mwr_noise,
-        "mwr_informative_fraction": args.informative_fraction,
-        "blob_scale": args.blob_scale,
-        "edge_amplitude": args.edge_amplitude,
-        "scenes": args.scenes,
-    }
+    generator = asdict(base)
+    del generator["seed"]
+    generator["scenes"] = args.scenes
     write_manifest(out, names, generator, args.seed)
     print(f"wrote {args.scenes} scenes to {out}")
     return 0
@@ -114,7 +106,7 @@ def _cmd_train(args) -> int:
         "seed": args.seed,
         "loss_history": history,
     }
-    _atomic_write_bytes(log_path, _dump_json(log).encode("utf-8"))
+    atomic_write_text(log_path, dump_json(log))
     final = history[-1] if history else float("nan")
     print(f"trained {args.variant} variant for {args.epochs} epochs, final loss {final:.6f}")
     return 0
@@ -186,13 +178,9 @@ def _cmd_plot_data(args) -> int:
     for rank, index in enumerate(ranked, start=1):
         entry = by_index[index]
         lines.append(f"ranked-z,{rank},{entry.group},{index},{entry.abs_z!r}")
-    ordered = sorted(
-        report.group_sums.items(),
-        key=lambda item: (-item[1], list(report.group_sums).index(item[0])),
-    )
-    for rank, (group, total) in enumerate(ordered, start=1):
+    for rank, (group, total) in enumerate(ranked_groups(report), start=1):
         lines.append(f"group-sum,{rank},{group},,{total!r}")
-    _atomic_write_bytes(Path(args.out), ("\n".join(lines) + "\n").encode("utf-8"))
+    atomic_write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote plot table to {args.out}")
     return 0
 

@@ -36,6 +36,7 @@ __all__ = [
     "top_k",
     "detect_dead",
     "compare_variants",
+    "ranked_groups",
 ]
 
 
@@ -180,12 +181,14 @@ def top_k(report: AnalysisReport, k: int = 14) -> list[ZScoreEntry]:
     return [by_index[i] for i in report.ranking[:k]]
 
 
+def ranked_groups(report: AnalysisReport) -> list[tuple[str, float]]:
+    """(group, |z| sum) pairs, largest sum first; ties keep group order."""
+    return sorted(report.group_sums.items(), key=lambda item: -item[1])
+
+
 def _group_ranks(report: AnalysisReport) -> dict[str, int]:
-    """Rank of each group by its |z| sum, 1 = largest; ties keep group order."""
-    ordered = sorted(
-        report.group_sums.items(), key=lambda item: (-item[1], list(report.group_sums).index(item[0]))
-    )
-    return {name: rank + 1 for rank, (name, _) in enumerate(ordered)}
+    """Rank of each group by its |z| sum, 1 = largest."""
+    return {name: rank for rank, (name, _) in enumerate(ranked_groups(report), start=1)}
 
 
 @dataclass(frozen=True)

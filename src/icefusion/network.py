@@ -17,7 +17,7 @@ derived by hand; ``backward`` is the exact transpose of ``forward``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -52,8 +52,23 @@ _STREAM_MIXING = 2
 _STREAM_DROPOUT = 3
 
 
+# Branch width of each published variant; scale-0 and btemp are 14 wide in both.
+_BRANCH_WIDTH = {"small": 14, "large": 28}
+_PUBLISHED_WIDTH = 14
+_DEFAULT_RATES = (2, 4, 8, 16)
+
+
 def scale_group_name(dilation: int) -> str:
     return f"scale-{dilation}"
+
+
+def _group_names(rates) -> list[str]:
+    """Mixing-input group names in concatenation order."""
+    return [GROUP_SCALE0, *map(scale_group_name, rates), GROUP_BTEMP]
+
+
+def _width_map(rates, scale0: int, branch: int, btemp: int) -> dict[str, int]:
+    return dict(zip(_group_names(rates), [scale0, *[branch] * len(rates), btemp]))
 
 
 @dataclass(frozen=True)
@@ -80,7 +95,7 @@ class ModelConfig:
 
     variant: str
     group_widths: dict[str, int]
-    dilation_rates: tuple[int, ...] = (2, 4, 8, 16)
+    dilation_rates: tuple[int, ...] = _DEFAULT_RATES
     kernel_size: int = 3
     stem_depth: int = 2
     branch_depth: int = 6
@@ -93,7 +108,7 @@ class ModelConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "dilation_rates", tuple(int(d) for d in self.dilation_rates))
-        if self.variant not in ("small", "large", "custom"):
+        if self.variant not in (*_BRANCH_WIDTH, "custom"):
             raise ConfigurationError(f"unknown variant {self.variant!r}")
         rates = self.dilation_rates
         if not rates or any(d < 2 for d in rates) or any(
@@ -125,7 +140,7 @@ class ModelConfig:
         if self.mwr_channels < 1 or self.mwr_factor < 1 or self.sar_channels < 1:
             raise ConfigurationError("channel counts and the grid factor must be positive")
 
-        expected = [GROUP_SCALE0] + [scale_group_name(d) for d in rates] + [GROUP_BTEMP]
+        expected = _group_names(rates)
         if list(self.group_widths) != expected:
             raise ConfigurationError(
                 f"group widths must name {expected} in order, got {list(self.group_widths)}"
@@ -136,50 +151,35 @@ class ModelConfig:
             raise ConfigurationError(
                 "the btemp group width must equal the number of mwr channels"
             )
-        if self.variant == "small":
-            if any(w != 14 for w in self.group_widths.values()):
-                raise ConfigurationError("the small variant uses width 14 for every group")
-        if self.variant == "large":
-            branch_names = [scale_group_name(d) for d in rates]
-            if self.group_widths[GROUP_SCALE0] != 14 or self.group_widths[GROUP_BTEMP] != 14:
+        if self.variant in _BRANCH_WIDTH:
+            published = _width_map(rates, _PUBLISHED_WIDTH, _BRANCH_WIDTH[self.variant],
+                                   _PUBLISHED_WIDTH)
+            if self.group_widths != published:
                 raise ConfigurationError(
-                    "the large variant uses width 14 for scale-0 and btemp"
+                    f"the {self.variant} variant uses group widths {published}, "
+                    f"got {dict(self.group_widths)}"
                 )
-            if any(self.group_widths[name] != 28 for name in branch_names):
-                raise ConfigurationError("the large variant uses width 28 for every branch")
 
     @classmethod
     def for_variant(cls, variant: str, **overrides) -> "ModelConfig":
         """Published configurations: ``small`` (all 14) or ``large`` (branches 28)."""
-        if variant not in ("small", "large"):
+        if variant not in _BRANCH_WIDTH:
             raise ConfigurationError(f"variant must be 'small' or 'large', got {variant!r}")
-        rates = tuple(overrides.pop("dilation_rates", (2, 4, 8, 16)))
-        mwr_channels = overrides.pop("mwr_channels", 14)
-        if variant == "small" and mwr_channels != 14:
-            raise ConfigurationError("the small variant fixes mwr_channels at 14")
-        branch_width = 14 if variant == "small" else 28
-        widths = {GROUP_SCALE0: 14}
-        widths.update({scale_group_name(d): branch_width for d in rates})
-        widths[GROUP_BTEMP] = mwr_channels
-        return cls(
-            variant=variant,
-            group_widths=widths,
-            dilation_rates=rates,
-            mwr_channels=mwr_channels,
-            **overrides,
-        )
+        return cls._uniform(variant, _PUBLISHED_WIDTH, _BRANCH_WIDTH[variant], overrides)
 
     @classmethod
     def custom(cls, scale0_width: int, branch_width: int, **overrides) -> "ModelConfig":
         """Toy configuration with uniform branch widths."""
-        rates = tuple(overrides.pop("dilation_rates", (2, 4, 8, 16)))
-        mwr_channels = overrides.pop("mwr_channels", 14)
-        widths = {GROUP_SCALE0: scale0_width}
-        widths.update({scale_group_name(d): branch_width for d in rates})
-        widths[GROUP_BTEMP] = mwr_channels
+        return cls._uniform("custom", scale0_width, branch_width, overrides)
+
+    @classmethod
+    def _uniform(cls, variant: str, scale0_width: int, branch_width: int,
+                 overrides: dict) -> "ModelConfig":
+        rates = tuple(overrides.pop("dilation_rates", _DEFAULT_RATES))
+        mwr_channels = overrides.pop("mwr_channels", _PUBLISHED_WIDTH)
         return cls(
-            variant="custom",
-            group_widths=widths,
+            variant=variant,
+            group_widths=_width_map(rates, scale0_width, branch_width, mwr_channels),
             dilation_rates=rates,
             mwr_channels=mwr_channels,
             **overrides,
@@ -201,30 +201,17 @@ class ModelConfig:
         return sum(self.group_widths.values())
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "group_widths": dict(self.group_widths),
-            "dilation_rates": list(self.dilation_rates),
-            "kernel_size": self.kernel_size,
-            "stem_depth": self.stem_depth,
-            "branch_depth": self.branch_depth,
-            "dropout_rate": self.dropout_rate,
-            "mixing_activation": self.mixing_activation,
-            "upsample_mode": self.upsample_mode,
-            "mwr_channels": self.mwr_channels,
-            "mwr_factor": self.mwr_factor,
-            "sar_channels": self.sar_channels,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
         fields = dict(data)
-        rates = tuple(int(r) for r in fields.get("dilation_rates", (2, 4, 8, 16)))
+        rates = tuple(int(r) for r in fields.get("dilation_rates", _DEFAULT_RATES))
         fields["dilation_rates"] = rates
         # Serializers are free to reorder mapping keys (canonical JSON sorts
         # them), so rebuild the widths in canonical group order.
         widths = {str(k): int(v) for k, v in fields["group_widths"].items()}
-        order = [GROUP_SCALE0] + [scale_group_name(r) for r in rates] + [GROUP_BTEMP]
+        order = _group_names(rates)
         if sorted(widths) == sorted(order):
             widths = {name: widths[name] for name in order}
         fields["group_widths"] = widths

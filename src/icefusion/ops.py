@@ -48,19 +48,22 @@ def _as_float64(x, name: str, ndim: int) -> np.ndarray:
 # Convolution
 
 
-def _dilated_windows(padded: np.ndarray, k: int, dilation: int,
-                     height: int, width: int) -> np.ndarray:
-    """The k x k dilated taps at every output pixel, flattened for matmul.
+def _dilated_windows(x: np.ndarray, k: int, dilation: int) -> tuple[np.ndarray, int]:
+    """The k x k dilated taps at every output pixel, flattened for matmul (im2col).
 
-    Returns shape (Cin * k * k, height * width) over the zero-padded input.
+    Zero-pads ``x`` [Cin, H, W] for a same-size output and returns the
+    (Cin * k * k, H * W) window matrix together with the padding width.
     """
-    cin = padded.shape[0]
+    cin, height, width = x.shape
+    pad = (k - 1) // 2 * dilation
+    padded = np.zeros((cin, height + 2 * pad, width + 2 * pad))
+    padded[:, pad:pad + height, pad:pad + width] = x
     win = np.empty((cin, k, k, height, width))
     for ty in range(k):
         for tx in range(k):
             win[:, ty, tx] = padded[:, ty * dilation:ty * dilation + height,
                                     tx * dilation:tx * dilation + width]
-    return win.reshape(cin * k * k, height * width)
+    return win.reshape(cin * k * k, height * width), pad
 
 
 def _check_conv_args(x: np.ndarray, kernels: np.ndarray, dilation: int) -> None:
@@ -94,10 +97,7 @@ def conv2d(x, kernels, bias, dilation: int = 1) -> np.ndarray:
     if bias.shape[0] != cout:
         raise DimensionError(f"bias has {bias.shape[0]} entries, expected {cout}")
     height, width = x.shape[1:]
-    pad = (k - 1) // 2 * dilation
-    padded = np.zeros((cin, height + 2 * pad, width + 2 * pad))
-    padded[:, pad:pad + height, pad:pad + width] = x
-    flat = _dilated_windows(padded, k, dilation, height, width)
+    flat, _ = _dilated_windows(x, k, dilation)
     out = kernels.reshape(cout, cin * k * k) @ flat
     out = out.reshape(cout, height, width) + bias[:, None, None]
     return out
@@ -119,17 +119,14 @@ def conv2d_backward(grad_out, x, kernels, dilation: int = 1):
         raise DimensionError(
             f"grad_out shape {grad_out.shape} does not match output ({cout}, {height}, {width})"
         )
-    pad = (k - 1) // 2 * dilation
-    padded = np.zeros((cin, height + 2 * pad, width + 2 * pad))
-    padded[:, pad:pad + height, pad:pad + width] = x
-    flat = _dilated_windows(padded, k, dilation, height, width)
+    flat, pad = _dilated_windows(x, k, dilation)
     g2 = grad_out.reshape(cout, height * width)
 
     grad_kernels = (g2 @ flat.T).reshape(cout, cin, k, k)
     grad_bias = grad_out.sum(axis=(1, 2))
 
     spread = (kernels.reshape(cout, cin * k * k).T @ g2).reshape(cin, k, k, height, width)
-    grad_padded = np.zeros_like(padded)
+    grad_padded = np.zeros((cin, height + 2 * pad, width + 2 * pad))
     for ty in range(k):
         for tx in range(k):
             grad_padded[:, ty * dilation:ty * dilation + height,

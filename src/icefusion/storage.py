@@ -17,7 +17,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedVersionError,
     UsageError,
 )
-from .importance import AnalysisReport, ComparisonReport, ZScoreEntry
+from .importance import AnalysisReport, ComparisonReport, ZScoreEntry, ranked_groups
 from .network import (
     FusionNetwork,
     ModelConfig,
@@ -59,6 +59,8 @@ __all__ = [
     "groups_csv_path",
     "write_comparison",
     "sha256_file",
+    "atomic_write_text",
+    "dump_json",
 ]
 
 FORMAT_VERSION = 1
@@ -86,19 +88,61 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
         raise
 
 
-def _dump_json(obj) -> str:
+def atomic_write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8; the file appears under ``path`` only when complete."""
+    _atomic_write_bytes(Path(path), text.encode("utf-8"))
+
+
+def dump_json(obj) -> str:
+    """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def sha256_file(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    try:
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# The envelope every file carries: schema, format version, tool version
+
+
+def _envelope(schema: str, tool_version: str = __version__) -> dict:
+    return {"schema": schema, "format_version": FORMAT_VERSION, "tool_version": tool_version}
+
+
+def _check_envelope(doc, schema: str, path) -> None:
+    """Refuse anything but a JSON object of ``schema`` at this format version."""
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path} does not hold a JSON object")
+    if doc.get("schema") != schema:
+        raise FormatError(f"{path} holds schema {doc.get('schema')!r}, expected {schema!r}")
+    if doc.get("format_version") != FORMAT_VERSION:
+        raise UnsupportedVersionError(
+            f"{path} uses format version {doc.get('format_version')!r}; "
+            f"this build reads version {FORMAT_VERSION}"
+        )
+
+
+def _read_document(path: Path, schema: str) -> dict:
+    try:
+        doc = json.loads(path.read_text("utf-8"))
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+    _check_envelope(doc, schema, path)
+    return doc
 
 
 # ---------------------------------------------------------------------------
 # Header + float64-block container
 
 
-def _write_container(path, header: dict, arrays: list[tuple[str, np.ndarray]]) -> None:
+def _write_container(path, schema: str, body: dict,
+                     arrays: list[tuple[str, np.ndarray]]) -> None:
     records = []
     chunks = []
     offset = 0
@@ -110,12 +154,13 @@ def _write_container(path, header: dict, arrays: list[tuple[str, np.ndarray]]) -
         chunks.append(raw)
         offset += len(raw)
     payload = b"".join(chunks)
-    header = dict(header)
-    header["format_version"] = FORMAT_VERSION
-    header["tool_version"] = __version__
-    header["arrays"] = records
-    header["payload_bytes"] = len(payload)
-    header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+    header = {
+        **_envelope(schema),
+        **body,
+        "arrays": records,
+        "payload_bytes": len(payload),
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+    }
     line = json.dumps(header, sort_keys=True).encode("utf-8")
     _atomic_write_bytes(Path(path), line + b"\n" + payload)
 
@@ -133,15 +178,7 @@ def _read_container(path, schema: str) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(blob[:newline].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path} has a malformed header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("schema") != schema:
-        raise FormatError(
-            f"{path} holds schema {header.get('schema')!r}, expected {schema!r}"
-        )
-    if header.get("format_version") != FORMAT_VERSION:
-        raise UnsupportedVersionError(
-            f"{path} uses format version {header.get('format_version')!r}; "
-            f"this build reads version {FORMAT_VERSION}"
-        )
+    _check_envelope(header, schema, path)
     payload = blob[newline + 1:]
     if len(payload) != header.get("payload_bytes"):
         raise IntegrityError(
@@ -171,8 +208,7 @@ def save_checkpoint(net: FusionNetwork, path, train_seed: int | None = None,
                     provenance: dict | None = None) -> None:
     """Persist parameters, running statistics and the architecture config."""
     norm = net.branches[0].norms[0] if net.branches and net.branches[0].norms else None
-    header = {
-        "schema": _CHECKPOINT_SCHEMA,
+    body = {
         "model_config": net.config.to_dict(),
         "train_seed": train_seed,
         "norm": {
@@ -182,7 +218,7 @@ def save_checkpoint(net: FusionNetwork, path, train_seed: int | None = None,
         "provenance": provenance or {},
     }
     arrays = named_parameters(net) + named_state(net)
-    _write_container(path, header, arrays)
+    _write_container(path, _CHECKPOINT_SCHEMA, body, arrays)
 
 
 def load_checkpoint(path) -> FusionNetwork:
@@ -220,23 +256,8 @@ def load_checkpoint(path) -> FusionNetwork:
 
 
 def save_scene(scene: Scene, cfg: SceneConfig, path) -> None:
-    header = {
-        "schema": _SCENE_SCHEMA,
-        "scene_config": {
-            "height": cfg.height,
-            "width": cfg.width,
-            "mwr_factor": cfg.mwr_factor,
-            "mwr_channels": cfg.mwr_channels,
-            "sar_ambiguity": cfg.sar_ambiguity,
-            "mwr_noise": cfg.mwr_noise,
-            "mwr_informative_fraction": cfg.mwr_informative_fraction,
-            "blob_scale": cfg.blob_scale,
-            "edge_amplitude": cfg.edge_amplitude,
-            "seed": cfg.seed,
-        },
-    }
     arrays = [("sar", scene.sar), ("mwr", scene.mwr), ("label", scene.label)]
-    _write_container(path, header, arrays)
+    _write_container(path, _SCENE_SCHEMA, {"scene_config": asdict(cfg)}, arrays)
 
 
 def load_scene(path) -> tuple[Scene, SceneConfig]:
@@ -259,16 +280,14 @@ def write_manifest(directory, scene_files: list[str], generator: dict, master_se
         "".join(e["sha256"] for e in entries).encode("ascii")
     ).hexdigest()
     manifest = {
-        "schema": _MANIFEST_SCHEMA,
-        "format_version": FORMAT_VERSION,
-        "tool_version": __version__,
+        **_envelope(_MANIFEST_SCHEMA),
         "generator": generator,
         "master_seed": master_seed,
         "scenes": entries,
         "dataset_id": dataset_id,
     }
     path = directory / MANIFEST_NAME
-    _atomic_write_bytes(path, _dump_json(manifest).encode("utf-8"))
+    atomic_write_text(path, dump_json(manifest))
     return path
 
 
@@ -276,19 +295,7 @@ def read_manifest(directory) -> dict:
     path = Path(directory)
     if path.is_dir():
         path = path / MANIFEST_NAME
-    try:
-        manifest = json.loads(path.read_text("utf-8"))
-    except OSError as exc:
-        raise FormatError(f"cannot read manifest {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"manifest {path} is not valid JSON: {exc}") from exc
-    if manifest.get("schema") != _MANIFEST_SCHEMA:
-        raise FormatError(f"{path} is not a scene manifest")
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise UnsupportedVersionError(
-            f"manifest {path} uses format version {manifest.get('format_version')!r}"
-        )
-    return manifest
+    return _read_document(path, _MANIFEST_SCHEMA)
 
 
 def manifest_dataset_id(manifest: dict) -> str:
@@ -302,10 +309,16 @@ def load_dataset(directory) -> tuple[list[Scene], dict]:
     """All scenes named by the directory's manifest, digest-checked."""
     directory = Path(directory)
     manifest = read_manifest(directory)
+    entries = manifest.get("scenes")
+    if not isinstance(entries, list) or not entries:
+        raise FormatError(f"the manifest in {directory} lists no scenes")
     scenes = []
-    for entry in manifest["scenes"]:
-        path = directory / entry["file"]
-        if sha256_file(path) != entry["sha256"]:
+    for entry in entries:
+        try:
+            path, digest = directory / entry["file"], entry["sha256"]
+        except (KeyError, TypeError) as exc:
+            raise FormatError(f"malformed manifest entry {entry!r}") from exc
+        if sha256_file(path) != digest:
             raise IntegrityError(f"scene {path} does not match its manifest digest")
         scene, _ = load_scene(path)
         scenes.append(scene)
@@ -370,12 +383,8 @@ def _entries_csv(report: AnalysisReport) -> str:
 
 
 def _groups_csv(report: AnalysisReport) -> str:
-    ordered = sorted(
-        report.group_sums.items(),
-        key=lambda item: (-item[1], list(report.group_sums).index(item[0])),
-    )
     lines = ["group,sum_abs_z,rank"]
-    for rank, (name, total) in enumerate(ordered, start=1):
+    for rank, (name, total) in enumerate(ranked_groups(report), start=1):
         lines.append(f"{name},{_repr_number(total)},{rank}")
     return "\n".join(lines) + "\n"
 
@@ -401,9 +410,7 @@ def write_report(report_file: ReportFile, path, format: str = "json") -> None:
     report = report_file.report
     if format == "json":
         doc = {
-            "schema": _REPORT_SCHEMA,
-            "format_version": FORMAT_VERSION,
-            "tool_version": report_file.tool_version,
+            **_envelope(_REPORT_SCHEMA, report_file.tool_version),
             "provenance": report_file.provenance,
             "variant": report.variant,
             "entries": [_entry_to_json(e) for e in report.entries],
@@ -412,10 +419,10 @@ def write_report(report_file: ReportFile, path, format: str = "json") -> None:
             "dead_nodes": list(report.dead_nodes),
             "top_ranking": list(report_file.top_ranking),
         }
-        _atomic_write_bytes(Path(path), _dump_json(doc).encode("utf-8"))
+        atomic_write_text(path, dump_json(doc))
     elif format == "csv":
-        _atomic_write_bytes(Path(path), _entries_csv(report).encode("utf-8"))
-        _atomic_write_bytes(groups_csv_path(path), _groups_csv(report).encode("utf-8"))
+        atomic_write_text(path, _entries_csv(report))
+        atomic_write_text(groups_csv_path(path), _groups_csv(report))
     else:
         raise UsageError(f"unknown report format {format!r}")
 
@@ -425,27 +432,19 @@ def read_report(path) -> ReportFile:
     path = Path(path)
     if path.suffix == ".csv":
         raise UsageError("CSV report exports cannot be read back; use the JSON report")
+    doc = _read_document(path, _REPORT_SCHEMA)
     try:
-        doc = json.loads(path.read_text("utf-8"))
-    except OSError as exc:
-        raise FormatError(f"cannot read report {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"report {path} is not valid JSON: {exc}") from exc
-    if doc.get("schema") != _REPORT_SCHEMA:
-        raise FormatError(f"{path} is not an importance report")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise UnsupportedVersionError(
-            f"report {path} uses format version {doc.get('format_version')!r}"
-        )
-    try:
+        entries = tuple(_entry_from_json(e) for e in doc["entries"])
+        sums = {str(k): float(v) for k, v in doc["group_sums"].items()}
         report = AnalysisReport(
             variant=str(doc["variant"]),
-            entries=tuple(_entry_from_json(e) for e in doc["entries"]),
-            group_sums={str(k): float(v) for k, v in doc["group_sums"].items()},
+            entries=entries,
+            # canonical JSON sorts the keys; restore group order from the entries
+            group_sums={e.group: sums[e.group] for e in entries},
             ranking=tuple(int(i) for i in doc["ranking"]),
             dead_nodes=tuple(int(i) for i in doc["dead_nodes"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"report {path} is incomplete: {exc}") from exc
     return ReportFile(
         report=report,
@@ -457,9 +456,7 @@ def read_report(path) -> ReportFile:
 
 def write_comparison(comparison: ComparisonReport, path, provenance: dict | None = None) -> None:
     doc = {
-        "schema": _COMPARISON_SCHEMA,
-        "format_version": FORMAT_VERSION,
-        "tool_version": __version__,
+        **_envelope(_COMPARISON_SCHEMA),
         "provenance": provenance or {},
         "group_ranks_small": dict(comparison.group_ranks_small),
         "group_ranks_large": dict(comparison.group_ranks_large),
@@ -468,4 +465,4 @@ def write_comparison(comparison: ComparisonReport, path, provenance: dict | None
         "inversions": comparison.inversions,
         "k": comparison.k,
     }
-    _atomic_write_bytes(Path(path), _dump_json(doc).encode("utf-8"))
+    atomic_write_text(path, dump_json(doc))

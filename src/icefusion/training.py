@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError, DimensionError, UsageError
 from .network import (
-    GROUP_BTEMP,
     FusionNetwork,
     backward,
     forward,

@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 
 from icefusion.cli import main
+from icefusion.importance import AnalysisReport, ZScoreEntry, compare_variants
 from icefusion.network import ModelConfig, build
 from icefusion.rng import SeededRng
 from icefusion.storage import (
+    ReportFile,
     groups_csv_path,
     read_manifest,
     read_report,
     save_checkpoint,
     sha256_file,
+    write_manifest,
+    write_report,
 )
 
 GEN_ARGS = ["gen-data", "--scenes", "4", "--seed", "3", "--height", "16",
@@ -196,6 +200,10 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "gen-data", "--out", str(tmp_path / "d"),
                        "--scenes", "1", "--height", "60")
     assert code == 2 and err.startswith("E_CONFIG:")
+    for extra in (["--scenes", "0", "--height", "60"], ["--scenes", "-3"]):
+        code, out, err = run(capsys, "gen-data", "--out", str(tmp_path / "e"), *extra)
+        assert code == 2 and err.startswith("E_USAGE:") and out == ""
+    assert not (tmp_path / "e").exists()
 
 
 def test_missing_files_exit_3(capsys, tmp_path):
@@ -205,6 +213,63 @@ def test_missing_files_exit_3(capsys, tmp_path):
     code, _, err = run(capsys, "train", "--data", str(tmp_path / "nowhere"),
                        "--variant", "small", "--out", str(tmp_path / "m.ckpt"))
     assert code == 3 and err.startswith("E_FORMAT:")
+
+
+def test_malformed_files_exit_3(pipeline, capsys, tmp_path):
+    listless = tmp_path / "listless.json"
+    listless.write_text("[]")
+    code, _, err = run(capsys, "plot-data", "--report", str(listless),
+                       "--out", str(tmp_path / "plot.csv"))
+    assert code == 3 and err.startswith("E_FORMAT:") and err.count("\n") == 1
+
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    write_manifest(empty, [], generator={}, master_seed=0)
+    code, _, err = run(capsys, "train", "--data", str(empty), "--variant", "small",
+                       "--out", str(tmp_path / "m.ckpt"))
+    assert code == 3 and err.startswith("E_FORMAT:") and err.count("\n") == 1
+
+
+def test_tied_groups_rank_in_group_order(capsys, tmp_path):
+    names = ["scale-0", "scale-2", "scale-4", "scale-8", "scale-16", "btemp"]
+    sums = [1.0, 2.0, 1.0, 2.0, 1.0, 1.0]
+    expected = ["scale-2", "scale-8", "scale-0", "scale-4", "scale-16", "btemp"]
+
+    def tied(variant):
+        entries = tuple(ZScoreEntry(i, name, total, 1.0, total)
+                        for i, (name, total) in enumerate(zip(names, sums)))
+        ranking = tuple(sorted(range(6), key=lambda i: (-sums[i], i)))
+        return AnalysisReport(variant, entries, dict(zip(names, sums)), ranking, ())
+
+    comparison = compare_variants(tied("small"), tied("large"))
+    for ranks in (comparison.group_ranks_small, comparison.group_ranks_large):
+        assert sorted(ranks, key=ranks.get) == expected
+
+    write_report(ReportFile(report=tied("small"), provenance={}), tmp_path / "tied.csv",
+                 format="csv")
+    rows = groups_csv_path(tmp_path / "tied.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == expected
+    assert [row.split(",")[2] for row in rows] == ["1", "2", "3", "4", "5", "6"]
+
+    # the commands read reports back from JSON, whose keys are sorted
+    for variant in ("small", "large"):
+        write_report(ReportFile(report=tied(variant), provenance={}),
+                     tmp_path / f"{variant}.json")
+    code, _, _ = run(capsys, "compare", "--small", str(tmp_path / "small.json"),
+                     "--large", str(tmp_path / "large.json"), "--out",
+                     str(tmp_path / "cmp.json"))
+    assert code == 0
+    doc = json.loads((tmp_path / "cmp.json").read_text())
+    for ranks in (doc["group_ranks_small"], doc["group_ranks_large"]):
+        assert sorted(ranks, key=ranks.get) == expected
+
+    code, _, _ = run(capsys, "plot-data", "--report", str(tmp_path / "small.json"),
+                     "--out", str(tmp_path / "plot.csv"))
+    assert code == 0
+    rows = [line.split(",") for line in (tmp_path / "plot.csv").read_text().splitlines()
+            if line.startswith("group-sum,")]
+    assert [row[2] for row in rows] == expected
+    assert [row[1] for row in rows] == ["1", "2", "3", "4", "5", "6"]
 
 
 def test_upsampled_stats_exit_4(pipeline, capsys, tmp_path):

@@ -177,6 +177,37 @@ def test_manifest_and_dataset_loading(tmp_path):
         load_dataset(tmp_path)
 
 
+def test_dataset_refuses_incomplete_manifests(tmp_path):
+    cfg = SceneConfig(height=8, width=8, mwr_factor=2, mwr_channels=2, blob_scale=2.0)
+    save_scene(generate(cfg), cfg, tmp_path / "scene-0000.scene")
+    write_manifest(tmp_path, ["scene-0000.scene"], generator={}, master_seed=0)
+    manifest = read_manifest(tmp_path)
+    load_dataset(tmp_path)
+
+    (tmp_path / "scene-0000.scene").unlink()
+    with pytest.raises(FormatError):
+        load_dataset(tmp_path)
+    for scenes in ([], None, "scene-0000.scene", [{"file": "scene-0000.scene"}]):
+        doc = dict(manifest, scenes=scenes)
+        if scenes is None:
+            del doc["scenes"]
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(FormatError):
+            load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("reader, name, content", [
+    (read_report, "report.json", b"[]"),
+    (read_manifest, "manifest.json", b"[]"),
+    (load_checkpoint, "model.ckpt", b"[1]\n"),
+])
+def test_non_object_documents_are_format_errors(tmp_path, reader, name, content):
+    path = tmp_path / name
+    path.write_bytes(content)
+    with pytest.raises(FormatError, match="JSON object"):
+        reader(path)
+
+
 def test_manifest_validation(tmp_path):
     with pytest.raises(FormatError):
         read_manifest(tmp_path)
@@ -281,6 +312,11 @@ def test_report_formats_and_refusals(tmp_path):
     with pytest.raises(FormatError):
         read_report(bad)
     bad.write_text("not json at all")
+    with pytest.raises(FormatError):
+        read_report(bad)
+    write_report(ReportFile(report=report, provenance={}), path)
+    doc = json.loads(path.read_text())
+    bad.write_text(json.dumps(dict(doc, group_sums=[])))
     with pytest.raises(FormatError):
         read_report(bad)
 
