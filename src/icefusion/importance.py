@@ -95,6 +95,9 @@ class AnalysisReport:
     dead_nodes: tuple[int, ...]
 
 
+_DEAD_TOLERANCE = 1e-12
+
+
 def detect_dead(stats: MixingStats, tolerance: float = 0.0) -> list[int]:
     """Indices whose standard deviation is within ``tolerance`` of zero."""
     if tolerance < 0.0:
@@ -102,11 +105,11 @@ def detect_dead(stats: MixingStats, tolerance: float = 0.0) -> list[int]:
     return [int(i) for i in np.flatnonzero(stats.sigma <= tolerance)]
 
 
-def analyze(net: FusionNetwork, stats: MixingStats, *, sample_count: int | None = None,
-            dead_tolerance: float = 1e-12) -> AnalysisReport:
+def analyze(net: FusionNetwork, stats: MixingStats, *,
+            sample_count: int | None = None) -> AnalysisReport:
     """Score every mixing input of ``net`` using the pooled ``stats``.
 
-    Dead inputs (sigma within ``dead_tolerance`` of zero) are flagged and
+    Dead inputs (sigma within ``_DEAD_TOLERANCE`` of zero) are flagged and
     excluded rather than scored.  ``sample_count`` switches every score to
     the corrected form with that n.  Statistics whose btemp entries were
     pooled on the upsampled grid are refused: upsampling (other than nearest)
@@ -124,15 +127,13 @@ def analyze(net: FusionNetwork, stats: MixingStats, *, sample_count: int | None 
             "btemp statistics must be pooled on the native coarse grid before "
             "upsampling; upsampled-grid spreads are biased low and inflate z-scores"
         )
-    if dead_tolerance < 0.0:
-        raise UsageError(f"dead tolerance must be non-negative, got {dead_tolerance}")
 
     group_of = {}
     for group in cfg.groups:
         for i in range(group.start, group.stop):
             group_of[i] = group.name
 
-    dead = set(detect_dead(stats, dead_tolerance))
+    dead = set(detect_dead(stats, _DEAD_TOLERANCE))
     coeffs = net.mixing_coefficients
     entries = []
     for i in range(d_total):

@@ -26,6 +26,7 @@ from .errors import ConfigurationError, DimensionError, UsageError
 from .rng import SeededRng
 
 __all__ = [
+    "SAR_CHANNELS",
     "GROUP_SCALE0",
     "GROUP_BTEMP",
     "scale_group_name",
@@ -44,6 +45,13 @@ __all__ = [
 
 GROUP_SCALE0 = "scale-0"
 GROUP_BTEMP = "btemp"
+
+# The fixed architecture: radar backscatter channels, 3x3 kernels, a
+# two-conv stem and three two-conv blocks per dilated branch.
+SAR_CHANNELS = 2
+_KERNEL_SIZE = 3
+_STEM_DEPTH = 2
+_BRANCH_BLOCKS = 3
 
 # Stream ids for deriving per-layer randomness from one global seed.
 _STREAM_STEM = 0
@@ -90,21 +98,18 @@ class ModelConfig:
 
     ``variant`` selects the published channel widths: ``small`` gives every
     group 14 channels, ``large`` widens the four dilated branches to 28.
-    ``custom`` accepts any positive widths for toy models.
+    ``custom`` accepts any positive widths for toy models.  Depths, kernel
+    size and radar channel count are fixed (see ``SAR_CHANNELS``).
     """
 
     variant: str
     group_widths: dict[str, int]
     dilation_rates: tuple[int, ...] = _DEFAULT_RATES
-    kernel_size: int = 3
-    stem_depth: int = 2
-    branch_depth: int = 6
     dropout_rate: float = 0.1
     mixing_activation: str = "linear"
     upsample_mode: str = "bilinear"
     mwr_channels: int = 14
     mwr_factor: int = 16
-    sar_channels: int = 2
 
     def __post_init__(self):
         object.__setattr__(self, "dilation_rates", tuple(int(d) for d in self.dilation_rates))
@@ -116,14 +121,6 @@ class ModelConfig:
         ):
             raise ConfigurationError(
                 f"dilation rates must be strictly increasing and at least 2, got {rates}"
-            )
-        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-            raise ConfigurationError(f"kernel size must be odd, got {self.kernel_size}")
-        if self.stem_depth < 1:
-            raise ConfigurationError(f"stem depth must be positive, got {self.stem_depth}")
-        if self.branch_depth < 2 or self.branch_depth % 2:
-            raise ConfigurationError(
-                f"branch depth must be a positive even number, got {self.branch_depth}"
             )
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigurationError(
@@ -137,7 +134,7 @@ class ModelConfig:
             raise ConfigurationError(
                 f"upsample mode must be 'nearest' or 'bilinear', got {self.upsample_mode!r}"
             )
-        if self.mwr_channels < 1 or self.mwr_factor < 1 or self.sar_channels < 1:
+        if self.mwr_channels < 1 or self.mwr_factor < 1:
             raise ConfigurationError("channel counts and the grid factor must be positive")
 
         expected = _group_names(rates)
@@ -207,7 +204,6 @@ class ModelConfig:
     def from_dict(cls, data: dict) -> "ModelConfig":
         fields = dict(data)
         rates = tuple(int(r) for r in fields.get("dilation_rates", _DEFAULT_RATES))
-        fields["dilation_rates"] = rates
         # Serializers are free to reorder mapping keys (canonical JSON sorts
         # them), so rebuild the widths in canonical group order.
         widths = {str(k): int(v) for k, v in fields["group_widths"].items()}
@@ -297,12 +293,11 @@ def build(config: ModelConfig, rng: SeededRng) -> FusionNetwork:
     """
     if not isinstance(rng, SeededRng):
         raise UsageError("build needs a SeededRng")
-    k = config.kernel_size
     stem_width = config.group_widths[GROUP_SCALE0]
     stem = []
-    cin = config.sar_channels
-    for i in range(config.stem_depth):
-        stem.append(_init_conv(cin, stem_width, k, rng.derive(_STREAM_STEM, i)))
+    cin = SAR_CHANNELS
+    for i in range(_STEM_DEPTH):
+        stem.append(_init_conv(cin, stem_width, _KERNEL_SIZE, rng.derive(_STREAM_STEM, i)))
         cin = stem_width
 
     branches = []
@@ -310,10 +305,10 @@ def build(config: ModelConfig, rng: SeededRng) -> FusionNetwork:
         width = config.group_widths[scale_group_name(d)]
         convs = []
         cin = stem_width
-        for j in range(config.branch_depth):
-            convs.append(_init_conv(cin, width, k, rng.derive(_STREAM_BRANCH, b, j)))
+        for j in range(2 * _BRANCH_BLOCKS):
+            convs.append(_init_conv(cin, width, _KERNEL_SIZE, rng.derive(_STREAM_BRANCH, b, j)))
             cin = width
-        norms = [ops.NormState.initial(width) for _ in range(config.branch_depth // 2)]
+        norms = [ops.NormState.initial(width) for _ in range(_BRANCH_BLOCKS)]
         branches.append(Branch(dilation=d, convs=convs, norms=norms))
 
     d_total = config.mixing_width
@@ -329,10 +324,8 @@ def build(config: ModelConfig, rng: SeededRng) -> FusionNetwork:
 
 
 def _check_inputs(config: ModelConfig, sar: np.ndarray, mwr: np.ndarray) -> None:
-    if sar.ndim != 3 or sar.shape[0] != config.sar_channels:
-        raise DimensionError(
-            f"sar must be [{config.sar_channels}, H, W], got shape {sar.shape}"
-        )
+    if sar.ndim != 3 or sar.shape[0] != SAR_CHANNELS:
+        raise DimensionError(f"sar must be [{SAR_CHANNELS}, H, W], got shape {sar.shape}")
     if mwr.ndim != 3 or mwr.shape[0] != config.mwr_channels:
         raise DimensionError(
             f"mwr must be [{config.mwr_channels}, h, w], got shape {mwr.shape}"
@@ -356,7 +349,7 @@ def forward(
 ) -> ForwardPass:
     """Run the network on one scene.
 
-    ``sar`` is [sar_channels, H, W], ``mwr`` is [mwr_channels, H/f, W/f].
+    ``sar`` is [SAR_CHANNELS, H, W], ``mwr`` is [mwr_channels, H/f, W/f].
     Train mode uses batch statistics (updating the running ones) and draws
     dropout masks from per-layer streams of ``rng``; eval mode is
     deterministic and needs no rng.  The returned mixing inputs are the

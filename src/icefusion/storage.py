@@ -207,14 +207,9 @@ def _read_container(path, schema: str) -> tuple[dict, dict[str, np.ndarray]]:
 def save_checkpoint(net: FusionNetwork, path, train_seed: int | None = None,
                     provenance: dict | None = None) -> None:
     """Persist parameters, running statistics and the architecture config."""
-    norm = net.branches[0].norms[0] if net.branches and net.branches[0].norms else None
     body = {
         "model_config": net.config.to_dict(),
         "train_seed": train_seed,
-        "norm": {
-            "epsilon": norm.epsilon if norm else 1e-5,
-            "momentum": norm.momentum if norm else 0.9,
-        },
         "provenance": provenance or {},
     }
     arrays = named_parameters(net) + named_state(net)
@@ -233,11 +228,6 @@ def load_checkpoint(path) -> FusionNetwork:
     except (KeyError, TypeError) as exc:
         raise FormatError(f"checkpoint is missing a valid model config: {exc}") from exc
     net = build(config, SeededRng(0))
-    norm_meta = header.get("norm", {})
-    for branch in net.branches:
-        for norm in branch.norms:
-            norm.epsilon = float(norm_meta.get("epsilon", norm.epsilon))
-            norm.momentum = float(norm_meta.get("momentum", norm.momentum))
     expected = named_parameters(net) + named_state(net)
     for name, value in expected:
         if name not in arrays:
@@ -339,16 +329,6 @@ class ReportFile:
     tool_version: str = __version__
 
 
-def _entry_to_json(entry: ZScoreEntry) -> dict:
-    return {
-        "input_index": entry.input_index,
-        "group": entry.group,
-        "coefficient": entry.coefficient,
-        "sigma": entry.sigma,
-        "z": entry.z,
-    }
-
-
 def _entry_from_json(data: dict) -> ZScoreEntry:
     return ZScoreEntry(
         input_index=int(data["input_index"]),
@@ -411,13 +391,9 @@ def write_report(report_file: ReportFile, path, format: str = "json") -> None:
     if format == "json":
         doc = {
             **_envelope(_REPORT_SCHEMA, report_file.tool_version),
+            **asdict(report),
             "provenance": report_file.provenance,
-            "variant": report.variant,
-            "entries": [_entry_to_json(e) for e in report.entries],
-            "group_sums": dict(report.group_sums),
-            "ranking": list(report.ranking),
-            "dead_nodes": list(report.dead_nodes),
-            "top_ranking": list(report_file.top_ranking),
+            "top_ranking": report_file.top_ranking,
         }
         atomic_write_text(path, dump_json(doc))
     elif format == "csv":
@@ -444,25 +420,26 @@ def read_report(path) -> ReportFile:
             ranking=tuple(int(i) for i in doc["ranking"]),
             dead_nodes=tuple(int(i) for i in doc["dead_nodes"]),
         )
+        top_ranking = tuple(int(i) for i in doc.get("top_ranking", []))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"report {path} is incomplete: {exc}") from exc
+    live = {e.input_index for e in entries if not e.dead}
+    dead = {e.input_index for e in entries} - live
+    for field, indices, allowed in (("ranking", report.ranking, live),
+                                    ("top_ranking", top_ranking, live),
+                                    ("dead_nodes", report.dead_nodes, dead)):
+        stray = sorted(set(indices) - allowed)
+        if stray:
+            raise FormatError(f"report {path}: {field} lists inputs {stray} "
+                              "that disagree with its entries")
     return ReportFile(
         report=report,
         provenance=doc.get("provenance", {}),
-        top_ranking=tuple(int(i) for i in doc.get("top_ranking", [])),
+        top_ranking=top_ranking,
         tool_version=str(doc.get("tool_version", "")),
     )
 
 
 def write_comparison(comparison: ComparisonReport, path, provenance: dict | None = None) -> None:
-    doc = {
-        **_envelope(_COMPARISON_SCHEMA),
-        "provenance": provenance or {},
-        "group_ranks_small": dict(comparison.group_ranks_small),
-        "group_ranks_large": dict(comparison.group_ranks_large),
-        "btemp_rank_stable": comparison.btemp_rank_stable,
-        "shared_top_keys": [list(key) for key in comparison.shared_top_keys],
-        "inversions": comparison.inversions,
-        "k": comparison.k,
-    }
+    doc = {**_envelope(_COMPARISON_SCHEMA), **asdict(comparison), "provenance": provenance or {}}
     atomic_write_text(path, dump_json(doc))

@@ -139,14 +139,7 @@ def train(net: FusionNetwork, scenes, cfg: TrainConfig) -> tuple[FusionNetwork, 
             loss, grad_prob = bce_loss(fp.prob, scene.label)
             losses.append(loss)
             grads = backward(net, fp.cache, grad_prob)
-            if cfg.batch_size == 1:
-                sgd_step(net, grads, cfg.learning_rate)
-                continue
-            for name, g in grads.items():
-                if name in pending:
-                    pending[name] += g
-                else:
-                    pending[name] = g.copy()
+            pending = {k: pending[k] + g for k, g in grads.items()} if pending else grads
             pending_count += 1
             if pending_count == cfg.batch_size or pos == len(order) - 1:
                 mean_grads = {k: v / pending_count for k, v in pending.items()}
@@ -191,38 +184,43 @@ def collect_mixing_stats(net: FusionNetwork, scenes, btemp_source: str = NATIVE_
     m = cfg.mwr_channels
     scale_width = d_total - m
 
-    sums = np.zeros(d_total)
-    sq_sums = np.zeros(d_total)
+    # Means pool as offsets from each input's first block mean, so merges stay small.
+    origin = np.zeros(d_total)
+    mean = np.zeros(d_total)
+    m2 = np.zeros(d_total)  # sum of squared deviations from the mean
+    sizes = np.zeros(d_total)  # pixels per scene behind each input
     lows = np.full(d_total, np.inf)
     highs = np.full(d_total, -np.inf)
-    fine_count = 0
-    native_count = 0
-    for scene in scenes:
-        fp = forward(net, scene.sar, scene.mwr, mode="eval")
-        if btemp_source == NATIVE_GRID:
-            values = [fp.mixing_inputs[:scale_width], scene.mwr]
-        else:
-            values = [fp.mixing_inputs[:scale_width], fp.mixing_inputs[scale_width:]]
-        for block, sel in zip(values, (slice(0, scale_width), slice(scale_width, d_total))):
-            sums[sel] += block.sum(axis=(1, 2))
-            sq_sums[sel] += (block**2).sum(axis=(1, 2))
+    for i, scene in enumerate(scenes):
+        # The forward's mixing inputs are ours to overwrite; scene data is not.
+        mix = forward(net, scene.sar, scene.mwr, mode="eval").mixing_inputs
+        btemp = scene.mwr.copy() if btemp_source == NATIVE_GRID else mix[scale_width:]
+        for block, sel in ((mix[:scale_width], slice(0, scale_width)),
+                           (btemp, slice(scale_width, d_total))):
             lows[sel] = np.minimum(lows[sel], block.min(axis=(1, 2)))
             highs[sel] = np.maximum(highs[sel], block.max(axis=(1, 2)))
-        fine_count += fp.mixing_inputs.shape[1] * fp.mixing_inputs.shape[2]
-        native_count += scene.mwr.shape[1] * scene.mwr.shape[2]
+            flat = block.reshape(len(block), -1)
+            n = sizes[sel] = flat.shape[1]
+            block_mean = flat.sum(axis=1) / n
+            flat -= block_mean[:, None]
+            if i == 0:
+                origin[sel] = block_mean
+            # The centred sum restores what rounding took from block_mean.
+            block_mean = (block_mean - origin[sel]) + flat.sum(axis=1) / n
+            flat *= flat
+            # Chan, Golub & LeVeque (1983) merge with the i equal-sized blocks before.
+            delta = block_mean - mean[sel]
+            m2[sel] += flat.sum(axis=1) + delta**2 * (n * i / (i + 1))
+            mean[sel] += delta / (i + 1)
 
-    counts = np.full(d_total, float(fine_count))
-    if btemp_source == NATIVE_GRID:
-        counts[scale_width:] = float(native_count)
-    mean = sums / counts
-    variance = np.maximum(sq_sums / counts - mean**2, 0.0)
+    variance = m2 / (sizes * len(scenes))
     # A channel that never varies has zero variance by definition; do not let
     # accumulation roundoff leak into it.
     variance[lows == highs] = 0.0
     return MixingStats(
-        mean=mean,
+        mean=origin + mean,
         sigma=np.sqrt(variance),
         btemp_provenance=(btemp_source,) * m,
-        fine_pixel_count=fine_count,
-        native_pixel_count=native_count,
+        fine_pixel_count=len(scenes) * scenes[0].sar[0].size,
+        native_pixel_count=len(scenes) * scenes[0].mwr[0].size,
     )

@@ -229,6 +229,19 @@ def test_malformed_files_exit_3(pipeline, capsys, tmp_path):
                        "--out", str(tmp_path / "m.ckpt"))
     assert code == 3 and err.startswith("E_FORMAT:") and err.count("\n") == 1
 
+    # report indices that name no entry
+    doc = json.loads(pipeline["report"].read_text())
+    stray_top = tmp_path / "stray-top.json"
+    stray_top.write_text(json.dumps(dict(doc, top_ranking=[999])))
+    stray_rank = tmp_path / "stray-rank.json"
+    stray_rank.write_text(json.dumps(dict(doc, ranking=[999, *doc["ranking"]])))
+    good = str(pipeline["report"])
+    for argv in (["plot-data", "--report", str(stray_top)],
+                 ["compare", "--small", str(stray_rank), "--large", good],
+                 ["compare", "--small", good, "--large", str(stray_rank)]):
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert code == 3 and err.startswith("E_FORMAT:") and err.count("\n") == 1
+
 
 def test_tied_groups_rank_in_group_order(capsys, tmp_path):
     names = ["scale-0", "scale-2", "scale-4", "scale-8", "scale-16", "btemp"]

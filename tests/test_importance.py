@@ -131,8 +131,6 @@ def test_analyze_validation():
         analyze(net, unit_stats(7, 1))
     with pytest.raises(ProvenanceError):
         analyze(net, unit_stats(6, 1, provenance=UPSAMPLED_GRID))
-    with pytest.raises(UsageError):
-        analyze(net, unit_stats(6, 1), dead_tolerance=-1.0)
 
 
 def test_analyze_is_pure():

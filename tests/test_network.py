@@ -10,6 +10,7 @@ from icefusion.errors import ConfigurationError, DimensionError, UsageError
 from icefusion.network import (
     GROUP_BTEMP,
     GROUP_SCALE0,
+    SAR_CHANNELS,
     ModelConfig,
     backward,
     build,
@@ -70,10 +71,6 @@ def test_config_validation():
         ModelConfig.for_variant("small", dilation_rates=(4, 2))
     with pytest.raises(ConfigurationError):
         ModelConfig.for_variant("small", dilation_rates=(1, 2))
-    with pytest.raises(ConfigurationError):
-        ModelConfig.for_variant("small", kernel_size=4)
-    with pytest.raises(ConfigurationError):
-        ModelConfig.for_variant("small", branch_depth=5)
     with pytest.raises(ConfigurationError):
         ModelConfig.for_variant("small", dropout_rate=1.0)
     with pytest.raises(ConfigurationError):
@@ -140,7 +137,7 @@ def test_build_needs_seeded_rng():
 
 
 def scene_arrays(rng, config, height=16, width=16):
-    sar = rng.normal(size=(config.sar_channels, height, width))
+    sar = rng.normal(size=(SAR_CHANNELS, height, width))
     mwr = rng.normal(size=(config.mwr_channels,
                            height // config.mwr_factor,
                            width // config.mwr_factor))

@@ -127,6 +127,20 @@ def test_conv2d_backward_matches_finite_differences():
             assert abs(grad.flat[index] - fd) < 1e-6, name
 
 
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_conv2d_backward_is_exact_adjoint(k):
+    # Integer values keep every product and sum exact, so the three inner
+    # products must agree bit for bit, also where taps reach past the grid.
+    rng = np.random.default_rng(k)
+    for dilation in range(1, 17):
+        x = rng.integers(-3, 4, size=(2, 5, 4)).astype(float)
+        kernels = rng.integers(-3, 4, size=(3, 2, k, k)).astype(float)
+        g = rng.integers(-3, 4, size=(3, 5, 4)).astype(float)
+        grad_x, grad_k, _ = conv2d_backward(g, x, kernels, dilation=dilation)
+        out = conv2d(x, kernels, np.zeros(3), dilation=dilation)
+        assert (out * g).sum() == (x * grad_x).sum() == (kernels * grad_k).sum(), dilation
+
+
 # ---------------------------------------------------------------------------
 # avg_smooth
 

@@ -7,6 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from icefusion.cli import main
 from icefusion.errors import (
     FormatError,
     IntegrityError,
@@ -97,6 +98,20 @@ def test_checkpoint_version_bump_is_refused(tmp_path):
     rewrite_header(path, format_version=99)
     with pytest.raises(UnsupportedVersionError):
         load_checkpoint(path)
+
+
+def test_checkpoint_with_removed_config_key_is_refused(tmp_path, capsys):
+    # checkpoints written while the architecture was configurable carry its keys
+    path = tmp_path / "model.ckpt"
+    net = toy_net()
+    save_checkpoint(net, path)
+    rewrite_header(path, model_config=dict(net.config.to_dict(), kernel_size=3))
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+    code = main(["analyze", "--ckpt", str(path), "--data", str(tmp_path),
+                 "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith("E_FORMAT:") and err.count("\n") == 1
 
 
 def test_checkpoint_corruption_is_refused(tmp_path):
@@ -319,6 +334,24 @@ def test_report_formats_and_refusals(tmp_path):
     bad.write_text(json.dumps(dict(doc, group_sums=[])))
     with pytest.raises(FormatError):
         read_report(bad)
+
+
+@pytest.mark.parametrize("field, indices", [
+    ("ranking", [999, 0]),
+    ("top_ranking", [999]),
+    ("dead_nodes", [999]),
+    ("dead_nodes", [0]),      # input 0 is live
+    ("ranking", [3, 0]),      # input 3 is dead
+    ("top_ranking", [3]),
+    ("top_ranking", ["x"]),
+])
+def test_report_indices_must_name_entries(tmp_path, field, indices):
+    path = tmp_path / "report.json"
+    write_report(ReportFile(report=hand_report(dead_index=3), provenance={}), path)
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(doc, **{field: indices})))
+    with pytest.raises(FormatError):
+        read_report(path)
 
 
 def test_numbers_survive_json_exactly(tmp_path):

@@ -7,12 +7,14 @@ import pytest
 
 from icefusion import ops
 from icefusion.errors import ConfigurationError, DataError, DimensionError, UsageError
-from icefusion.network import ModelConfig, build, forward, named_parameters
+from icefusion.importance import analyze
+from icefusion.network import ModelConfig, backward, build, forward, named_parameters
 from icefusion.rng import SeededRng
 from icefusion.scenes import Scene, SceneConfig, generate
 from icefusion.training import (
     NATIVE_GRID,
     UPSAMPLED_GRID,
+    _STREAM_STEP,
     TrainConfig,
     bce_loss,
     collect_mixing_stats,
@@ -226,6 +228,49 @@ def test_train_batch_accumulation_runs():
     assert len(history) == 1 and math.isfinite(history[0])
 
 
+def _hand_gradients(net, scene, step_rng):
+    fp = forward(net, scene.sar, scene.mwr, mode="train", rng=step_rng, keep_cache=True)
+    loss, grad_prob = bce_loss(fp.prob, scene.label)
+    return loss, backward(net, fp.cache, grad_prob)
+
+
+def test_train_batch_one_is_the_hand_loop():
+    scenes = training_scenes(n=3)
+    cfg = TrainConfig(learning_rate=0.05, epochs=2, seed=3, shuffle=False)
+    net = build(ModelConfig.for_variant("small", mwr_factor=4), SeededRng(2))
+    _, history = train(net, scenes, cfg)
+
+    hand = build(ModelConfig.for_variant("small", mwr_factor=4), SeededRng(2))
+    root = SeededRng(cfg.seed)
+    hand_history = []
+    for epoch in range(cfg.epochs):
+        losses = []
+        for pos, scene in enumerate(scenes):
+            loss, grads = _hand_gradients(hand, scene, root.derive(_STREAM_STEP, epoch, pos))
+            losses.append(loss)
+            sgd_step(hand, grads, cfg.learning_rate)
+        hand_history.append(float(np.mean(losses)))
+    assert history == hand_history
+    for (name, p), (_, q) in zip(named_parameters(net), named_parameters(hand)):
+        npt.assert_array_equal(p, q, err_msg=name)
+
+
+def test_train_batch_two_steps_on_the_mean_gradient():
+    scenes = training_scenes(n=2)
+    cfg = TrainConfig(learning_rate=0.05, epochs=1, batch_size=2, seed=3, shuffle=False)
+    net = build(ModelConfig.for_variant("small", mwr_factor=4), SeededRng(2))
+    _, history = train(net, scenes, cfg)
+
+    hand = build(ModelConfig.for_variant("small", mwr_factor=4), SeededRng(2))
+    root = SeededRng(cfg.seed)
+    loss0, g0 = _hand_gradients(hand, scenes[0], root.derive(_STREAM_STEP, 0, 0))
+    loss1, g1 = _hand_gradients(hand, scenes[1], root.derive(_STREAM_STEP, 0, 1))
+    sgd_step(hand, {k: (g0[k] + g1[k]) / 2 for k in g0}, cfg.learning_rate)
+    assert history == [float(np.mean([loss0, loss1]))]
+    for (name, p), (_, q) in zip(named_parameters(net), named_parameters(hand)):
+        npt.assert_array_equal(p, q, err_msg=name)
+
+
 # ---------------------------------------------------------------------------
 # collect_mixing_stats
 
@@ -296,3 +341,21 @@ def test_stats_recollection_is_exact():
     second = collect_mixing_stats(net, scenes)
     npt.assert_array_equal(first.mean, second.mean)
     npt.assert_array_equal(first.sigma, second.sigma)
+
+
+@pytest.mark.parametrize("offset, spread", [(1e8, 1.0), (1e4, 1e-3)])
+def test_large_offset_sigma_matches_two_pass(offset, spread):
+    # A unit spread on a 1e8 offset keeps about 8 digits; pooling must not lose them.
+    rng = np.random.default_rng(12)
+    net = build(ModelConfig.for_variant("small", mwr_factor=4), SeededRng(9))
+    scenes = [Scene(sar=rng.normal(size=(2, 16, 16)),
+                    mwr=offset + spread * rng.normal(size=(14, 4, 4)),
+                    label=np.zeros((1, 16, 16))) for _ in range(3)]
+    mwr_before = [s.mwr.copy() for s in scenes]
+    stats = collect_mixing_stats(net, scenes)
+    pooled = np.concatenate([s.mwr.reshape(14, -1) for s in scenes], axis=1)
+    assert np.abs(stats.sigma[70:] - pooled.std(axis=1)).max() <= 1e-9 * spread
+    npt.assert_allclose(stats.mean[70:], pooled.mean(axis=1), rtol=1e-15)
+    assert not set(analyze(net, stats).dead_nodes) & set(range(70, 84))
+    for before, scene in zip(mwr_before, scenes):
+        npt.assert_array_equal(scene.mwr, before)
