@@ -71,6 +71,13 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    train_cfg = TrainConfig(
+        learning_rate=args.lr,
+        epochs=args.epochs,
+        batch_size=args.batch_size,
+        seed=args.seed,
+        shuffle=not args.no_shuffle,
+    )
     scenes, manifest = load_dataset(args.data)
     dataset_id = manifest_dataset_id(manifest)
     factor = scenes[0].sar.shape[1] // scenes[0].mwr.shape[1]
@@ -83,13 +90,6 @@ def _cmd_train(args) -> int:
         dropout_rate=args.dropout_rate,
     )
     net = build(config, SeededRng(args.seed))
-    train_cfg = TrainConfig(
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        shuffle=not args.no_shuffle,
-    )
     _, history = train(net, scenes, train_cfg)
     save_checkpoint(
         net, args.out, train_seed=args.seed, provenance={"dataset_id": dataset_id}

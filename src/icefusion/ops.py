@@ -48,11 +48,11 @@ def _as_float64(x, name: str, ndim: int) -> np.ndarray:
 # Convolution
 
 
-def _dilated_windows(x: np.ndarray, k: int, dilation: int) -> tuple[np.ndarray, int]:
+def _dilated_windows(x: np.ndarray, k: int, dilation: int) -> np.ndarray:
     """The k x k dilated taps at every output pixel, flattened for matmul (im2col).
 
     Zero-pads ``x`` [Cin, H, W] for a same-size output and returns the
-    (Cin * k * k, H * W) window matrix together with the padding width.
+    (Cin * k * k, H * W) window matrix.
     """
     cin, height, width = x.shape
     pad = (k - 1) // 2 * dilation
@@ -63,7 +63,7 @@ def _dilated_windows(x: np.ndarray, k: int, dilation: int) -> tuple[np.ndarray, 
         for tx in range(k):
             win[:, ty, tx] = padded[:, ty * dilation:ty * dilation + height,
                                     tx * dilation:tx * dilation + width]
-    return win.reshape(cin * k * k, height * width), pad
+    return win.reshape(cin * k * k, height * width)
 
 
 def _check_conv_args(x: np.ndarray, kernels: np.ndarray, dilation: int) -> None:
@@ -97,10 +97,17 @@ def conv2d(x, kernels, bias, dilation: int = 1) -> np.ndarray:
     if bias.shape[0] != cout:
         raise DimensionError(f"bias has {bias.shape[0]} entries, expected {cout}")
     height, width = x.shape[1:]
-    flat, _ = _dilated_windows(x, k, dilation)
+    flat = _dilated_windows(x, k, dilation)
     out = kernels.reshape(cout, cin * k * k) @ flat
     out = out.reshape(cout, height, width) + bias[:, None, None]
     return out
+
+
+def _tap_slices(offset: int, n: int) -> tuple[slice, slice] | None:
+    """Index ranges of u and y in [0, n) with u = y + offset; None if empty."""
+    if abs(offset) >= n:
+        return None
+    return slice(max(offset, 0), n + min(offset, 0)), slice(max(-offset, 0), n - max(offset, 0))
 
 
 def conv2d_backward(grad_out, x, kernels, dilation: int = 1):
@@ -119,19 +126,30 @@ def conv2d_backward(grad_out, x, kernels, dilation: int = 1):
         raise DimensionError(
             f"grad_out shape {grad_out.shape} does not match output ({cout}, {height}, {width})"
         )
-    flat, pad = _dilated_windows(x, k, dilation)
+    flat = _dilated_windows(x, k, dilation)
     g2 = grad_out.reshape(cout, height * width)
 
     grad_kernels = (g2 @ flat.T).reshape(cout, cin, k, k)
+    # Free the window matrix before the equally large spread is built: with
+    # both alive the heap grows past the allocator's trim threshold and is
+    # returned to the OS and faulted back in on every call.
+    del flat
     grad_bias = grad_out.sum(axis=(1, 2))
 
     spread = (kernels.reshape(cout, cin * k * k).T @ g2).reshape(cin, k, k, height, width)
-    grad_padded = np.zeros((cin, height + 2 * pad, width + 2 * pad))
-    for ty in range(k):
-        for tx in range(k):
-            grad_padded[:, ty * dilation:ty * dilation + height,
-                        tx * dilation:tx * dilation + width] += spread[:, ty, tx]
-    grad_x = grad_padded[:, pad:pad + height, pad:pad + width]
+    # Each tap adds its in-range rectangle in tap order: every input pixel
+    # gets the same sums as a scatter into a zero-padded buffer, without one.
+    center = (k - 1) // 2
+    rows = [_tap_slices((t - center) * dilation, height) for t in range(k)]
+    cols = [_tap_slices((t - center) * dilation, width) for t in range(k)]
+    grad_x = np.zeros((cin, height, width))
+    for ty, row in enumerate(rows):
+        if row is None:
+            continue
+        for tx, col in enumerate(cols):
+            if col is None:
+                continue
+            grad_x[:, row[0], col[0]] += spread[:, ty, tx, row[1], col[1]]
     return grad_x, grad_kernels, grad_bias
 
 
@@ -146,33 +164,41 @@ def _window_reach(d: int) -> tuple[int, int]:
     return before, after
 
 
-def _box_sum(x: np.ndarray, before: int, after: int):
-    """Clamped window sums over the two trailing axes.
+def _window_bounds(height: int, width: int, before: int, after: int):
+    """First and last row and column of each clamped window [i-before, i+after].
 
-    Output pixel (y, x) sums inputs over rows [y-before, y+after] and the
-    same column range, intersected with the array bounds.  Returns the sums
-    and the per-pixel count of in-bounds contributors.
+    Returns ``((ylo, yhi), (xlo, xhi))``, the bounds intersected with the image.
     """
+    def axis(n: int):
+        idx = np.arange(n)
+        return np.maximum(idx - before, 0), np.minimum(idx + after, n - 1)
+
+    return axis(height), axis(width)
+
+
+def _window_counts(bounds) -> np.ndarray:
+    """Per-pixel count of in-bounds pixels under each clamped window."""
+    (ylo, yhi), (xlo, xhi) = bounds
+    counts = (yhi - ylo + 1)[:, None] * (xhi - xlo + 1)[None, :]
+    return counts.astype(np.float64)
+
+
+def _box_sum(x: np.ndarray, bounds) -> np.ndarray:
+    """Sums of ``x`` over the clamped windows of :func:`_window_bounds`.
+
+    Output pixel (y, x) sums inputs over rows [ylo[y], yhi[y]] and columns
+    [xlo[x], xhi[x]], read from a summed-area table over the two trailing axes.
+    """
+    (ylo, yhi), (xlo, xhi) = bounds
     channels, height, width = x.shape
     integral = np.zeros((channels, height + 1, width + 1))
     integral[:, 1:, 1:] = x.cumsum(axis=1).cumsum(axis=2)
-
-    def bounds(n: int):
-        idx = np.arange(n)
-        lo = np.maximum(idx - before, 0)
-        hi = np.minimum(idx + after, n - 1)
-        return lo, hi
-
-    ylo, yhi = bounds(height)
-    xlo, xhi = bounds(width)
-    sums = (
+    return (
         integral[:, (yhi + 1)[:, None], (xhi + 1)[None, :]]
         - integral[:, ylo[:, None], (xhi + 1)[None, :]]
         - integral[:, (yhi + 1)[:, None], xlo[None, :]]
         + integral[:, ylo[:, None], xlo[None, :]]
     )
-    counts = (yhi - ylo + 1)[:, None] * (xhi - xlo + 1)[None, :]
-    return sums, counts.astype(np.float64)
 
 
 def _check_window(d) -> None:
@@ -191,9 +217,8 @@ def avg_smooth(x, d: int) -> np.ndarray:
     _check_window(d)
     if d == 1:
         return x.copy()
-    before, after = _window_reach(d)
-    sums, counts = _box_sum(x, before, after)
-    return sums / counts
+    bounds = _window_bounds(*x.shape[1:], *_window_reach(d))
+    return _box_sum(x, bounds) / _window_counts(bounds)
 
 
 def avg_smooth_backward(grad_out, d: int) -> np.ndarray:
@@ -203,11 +228,11 @@ def avg_smooth_backward(grad_out, d: int) -> np.ndarray:
     if d == 1:
         return grad_out.copy()
     before, after = _window_reach(d)
-    _, counts = _box_sum(np.zeros_like(grad_out), before, after)
+    height, width = grad_out.shape[1:]
+    counts = _window_counts(_window_bounds(height, width, before, after))
     # Input pixel u feeds output y whenever u is inside y's window, i.e.
     # y in [u-after, u+before]: the reflected window.
-    sums, _ = _box_sum(grad_out / counts, after, before)
-    return sums
+    return _box_sum(grad_out / counts, _window_bounds(height, width, after, before))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import asdict, dataclass
@@ -187,17 +188,37 @@ def _read_container(path, schema: str) -> tuple[dict, dict[str, np.ndarray]]:
         )
     if hashlib.sha256(payload).hexdigest() != header.get("payload_sha256"):
         raise IntegrityError(f"{path} payload digest mismatch")
+    records = header.get("arrays")
+    if not isinstance(records, list):
+        raise FormatError(f"{path} header has no list of arrays")
     arrays = {}
-    for record in header["arrays"]:
+    for record in records:
+        _check_array_record(record, path)
         shape = tuple(record["shape"])
-        count = int(np.prod(shape)) if shape else 1
         start = record["offset"]
-        stop = start + count * 8
+        stop = start + math.prod(shape) * 8
         if stop > len(payload):
             raise IntegrityError(f"{path} array {record['name']!r} overruns the payload")
         flat = np.frombuffer(payload[start:stop], dtype="<f8")
-        arrays[record["name"]] = flat.reshape(shape).astype(np.float64, copy=True)
+        try:
+            arrays[record["name"]] = flat.reshape(shape).astype(np.float64, copy=True)
+        except ValueError as exc:  # an empty array with a dimension numpy cannot hold
+            raise FormatError(f"{path} array {record['name']!r} has shape {shape}: {exc}") from exc
     return header, arrays
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _check_array_record(record, path) -> None:
+    """Refuse an array record that is not {name: str, shape: [count...], offset: count}."""
+    if not (isinstance(record, dict)
+            and isinstance(record.get("name"), str)
+            and isinstance(record.get("shape"), list)
+            and all(_is_count(n) for n in record["shape"])
+            and _is_count(record.get("offset"))):
+        raise FormatError(f"{path} header holds a malformed array record {record!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,10 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ConfigurationError(f"learning rate must be positive, got {self.learning_rate}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ConfigurationError(
+                f"learning rate must be positive and finite, got {self.learning_rate}"
+            )
         if self.epochs < 0:
             raise ConfigurationError(f"epochs must be non-negative, got {self.epochs}")
         if self.batch_size < 1:
@@ -83,8 +85,10 @@ def sgd_step(net: FusionNetwork, grads: dict[str, np.ndarray], learning_rate: fl
     Normalization running statistics are untouched; they only move inside
     train-mode forward passes.  Returns the same network for chaining.
     """
-    if learning_rate < 0.0:
-        raise ConfigurationError(f"learning rate must be non-negative, got {learning_rate}")
+    if not (np.isfinite(learning_rate) and learning_rate >= 0.0):
+        raise ConfigurationError(
+            f"learning rate must be non-negative and finite, got {learning_rate}"
+        )
     params = named_parameters(net)
     names = {name for name, _ in params}
     unknown = set(grads) - names

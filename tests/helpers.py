@@ -56,6 +56,56 @@ def avg_smooth_reference(x, d):
     return out
 
 
+def conv2d_backward_input_reference(grad_out, kernels, dilation=1):
+    """Input gradient of conv2d by scattering into a zero-padded buffer.
+
+    Every tap adds its whole spread map into the padded buffer, in tap order,
+    and the result is cropped.  The library scatters only in-range rectangles
+    in the same order, so the two must agree bit for bit.
+    """
+    cout, cin, k, _ = kernels.shape
+    _, height, width = grad_out.shape
+    pad = (k - 1) // 2 * dilation
+    spread = (kernels.reshape(cout, cin * k * k).T @ grad_out.reshape(cout, height * width))
+    spread = spread.reshape(cin, k, k, height, width)
+    grad_padded = np.zeros((cin, height + 2 * pad, width + 2 * pad))
+    for ty in range(k):
+        for tx in range(k):
+            grad_padded[:, ty * dilation:ty * dilation + height,
+                        tx * dilation:tx * dilation + width] += spread[:, ty, tx]
+    return grad_padded[:, pad:pad + height, pad:pad + width]
+
+
+def avg_smooth_backward_reference(grad_out, d):
+    """Window-mean transpose with each window's count summed from an image of ones.
+
+    The counts are box sums of ones over the clamped windows, exact integers
+    reached without the window-bound arithmetic.  The gradient divided by them
+    is box-summed over the reflected window through the same summed-area
+    table the library builds, so the two must agree bit for bit.
+    """
+    if d == 1:
+        return grad_out.copy()  # one-pixel windows: the identity, no rounding
+    channels, height, width = grad_out.shape
+    before = d // 2
+    after = d - 1 - before
+
+    def box_sum(x, lo_reach, hi_reach):
+        integral = np.zeros((channels, height + 1, width + 1))
+        integral[:, 1:, 1:] = x.cumsum(axis=1).cumsum(axis=2)
+        ylo = np.maximum(np.arange(height) - lo_reach, 0)
+        yhi = np.minimum(np.arange(height) + hi_reach, height - 1)
+        xlo = np.maximum(np.arange(width) - lo_reach, 0)
+        xhi = np.minimum(np.arange(width) + hi_reach, width - 1)
+        return (integral[:, (yhi + 1)[:, None], (xhi + 1)[None, :]]
+                - integral[:, ylo[:, None], (xhi + 1)[None, :]]
+                - integral[:, (yhi + 1)[:, None], xlo[None, :]]
+                + integral[:, ylo[:, None], xlo[None, :]])
+
+    counts = box_sum(np.ones_like(grad_out), before, after)
+    return box_sum(grad_out / counts, after, before)
+
+
 def upsample_reference(x, factor, mode):
     """Per-pixel upsampling oracle for both interpolation modes."""
     channels, h, w = x.shape

@@ -204,6 +204,12 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         code, out, err = run(capsys, "gen-data", "--out", str(tmp_path / "e"), *extra)
         assert code == 2 and err.startswith("E_USAGE:") and out == ""
     assert not (tmp_path / "e").exists()
+    # a non-finite learning rate is refused before any data is read
+    for rate in ("nan", "inf"):
+        code, out, err = run(capsys, "train", "--data", str(tmp_path / "nowhere"),
+                             "--variant", "small", "--out", str(tmp_path / "m.ckpt"),
+                             "--lr", rate)
+        assert code == 2 and err.startswith("E_CONFIG:") and out == ""
 
 
 def test_missing_files_exit_3(capsys, tmp_path):
@@ -241,6 +247,17 @@ def test_malformed_files_exit_3(pipeline, capsys, tmp_path):
                  ["compare", "--small", good, "--large", str(stray_rank)]):
         code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
         assert code == 3 and err.startswith("E_FORMAT:") and err.count("\n") == 1
+
+    # a checkpoint with a valid digest whose array table is malformed
+    bad_ckpt = tmp_path / "bad.ckpt"
+    blob = pipeline["ckpt"].read_bytes()
+    cut = blob.find(b"\n")
+    header = json.loads(blob[:cut])
+    header["arrays"][0]["offset"] = -8
+    bad_ckpt.write_bytes(json.dumps(header, sort_keys=True).encode() + blob[cut:])
+    code, _, err = run(capsys, "analyze", "--ckpt", str(bad_ckpt), "--data",
+                       str(pipeline["data"]), "--out", str(tmp_path / "r.json"))
+    assert code == 3 and err.startswith("E_FORMAT:") and err.count("\n") == 1
 
 
 def test_tied_groups_rank_in_group_order(capsys, tmp_path):

@@ -1,4 +1,6 @@
 """Array-kernel tests: frozen hand values, brute-force oracles, adjoints."""
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -24,7 +26,13 @@ from icefusion.ops import (
 )
 from icefusion.rng import SeededRng
 
-from helpers import avg_smooth_reference, conv2d_reference, upsample_reference
+from helpers import (
+    avg_smooth_backward_reference,
+    avg_smooth_reference,
+    conv2d_backward_input_reference,
+    conv2d_reference,
+    upsample_reference,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +149,41 @@ def test_conv2d_backward_is_exact_adjoint(k):
         assert (out * g).sum() == (x * grad_x).sum() == (kernels * grad_k).sum(), dilation
 
 
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_conv2d_backward_input_matches_padded_scatter_bitwise(k):
+    # Grids below and beyond the reach (k-1)/2 * dilation, so taps fall
+    # wholly outside, partly inside and wholly inside the image.
+    rng = np.random.default_rng(100 + k)
+    for height, width in ((5, 4), (7, 6), (40, 37)):
+        for dilation in range(1, 17):
+            x = rng.normal(size=(2, height, width))
+            kernels = rng.normal(size=(3, 2, k, k))
+            g = rng.normal(size=(3, height, width))
+            grad_x, _, _ = conv2d_backward(g, x, kernels, dilation=dilation)
+            npt.assert_array_equal(
+                grad_x, conv2d_backward_input_reference(g, kernels, dilation),
+                err_msg=f"{height}x{width} dilation {dilation}")
+            assert grad_x.flags.c_contiguous
+
+
+@pytest.mark.parametrize("channels, dilation", [(28, 16), (14, 2)])
+def test_conv2d_backward_peak_memory_stays_near_one_window_matrix(channels, dilation):
+    # The im2col matrix and the spread it is contracted into are the same
+    # size; holding both at once doubles the call's footprint.
+    rng = np.random.default_rng(channels + dilation)
+    x = rng.normal(size=(channels, 64, 64))
+    kernels = rng.normal(size=(channels, channels, 3, 3))
+    g = rng.normal(size=(channels, 64, 64))
+    im2col_bytes = channels * 3 * 3 * 64 * 64 * 8
+    tracemalloc.start()
+    try:
+        conv2d_backward(g, x, kernels, dilation=dilation)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * im2col_bytes, peak / im2col_bytes
+
+
 # ---------------------------------------------------------------------------
 # avg_smooth
 
@@ -191,6 +234,16 @@ def test_avg_smooth_backward_is_adjoint():
         lhs = float((avg_smooth(x, d) * g).sum())
         rhs = float((x * avg_smooth_backward(g, d)).sum())
         npt.assert_allclose(lhs, rhs, rtol=1e-12)
+
+
+def test_avg_smooth_backward_matches_ones_image_counts_bitwise():
+    rng = np.random.default_rng(15)
+    for height, width in ((5, 4), (40, 37)):
+        for d in range(1, 17):
+            g = rng.normal(size=(2, height, width))
+            npt.assert_array_equal(avg_smooth_backward(g, d),
+                                   avg_smooth_backward_reference(g, d),
+                                   err_msg=f"{height}x{width} d {d}")
 
 
 def test_avg_smooth_validation():

@@ -49,10 +49,12 @@ def toy_scene(seed=0):
                                 blob_scale=2.0, seed=seed))
 
 
-def rewrite_header(path: Path, **changes):
+def rewrite_header(path: Path, remove=(), **changes):
     blob = path.read_bytes()
     cut = blob.find(b"\n")
     header = json.loads(blob[:cut].decode("utf-8"))
+    for key in remove:
+        del header[key]
     header.update(changes)
     path.write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + blob[cut:])
 
@@ -112,6 +114,34 @@ def test_checkpoint_with_removed_config_key_is_refused(tmp_path, capsys):
                  "--out", str(tmp_path / "r.json")])
     err = capsys.readouterr().err
     assert code == 3 and err.startswith("E_FORMAT:") and err.count("\n") == 1
+
+
+def test_container_array_records_are_validated(tmp_path):
+    # Each rewritten header keeps its valid payload digest; only the array
+    # table is malformed, and every variant must be a FormatError (exit 3).
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(toy_net(), path)
+    blob = path.read_bytes()
+    records = json.loads(blob[:blob.find(b"\n")])["arrays"]
+    first, rest = records[0], records[1:]
+    bad_tables = [
+        {"a": first},
+        [dict(first, offset=-8), *rest],
+        [dict(first, offset=True), *rest],
+        [dict(first, shape="ab"), *rest],
+        [dict(first, shape=[2.0]), *rest],
+        [dict(first, shape=[0, 2**70]), *rest],
+        [{"shape": first["shape"], "offset": 0}, *rest],
+        [1, *rest],
+    ]
+    rewrite_header(path, remove=["arrays"])
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+    for table in bad_tables:
+        path.write_bytes(blob)
+        rewrite_header(path, arrays=table)
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
 
 
 def test_checkpoint_corruption_is_refused(tmp_path):

@@ -121,8 +121,9 @@ def test_sgd_zero_learning_rate_changes_nothing():
 
 def test_sgd_rejects_bad_input():
     net = tiny_net()
-    with pytest.raises(ConfigurationError):
-        sgd_step(net, zero_grads(net), -0.1)
+    for rate in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError):
+            sgd_step(net, zero_grads(net), rate)
     extra = dict(zero_grads(net), **{"stem.9.kernels": np.zeros(3)})
     with pytest.raises(UsageError):
         sgd_step(net, extra, 0.1)
@@ -174,6 +175,9 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.1, epochs=-1)
     with pytest.raises(ConfigurationError):
         TrainConfig(learning_rate=0.1, epochs=1, batch_size=0)
+    for rate in (float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError):
+            TrainConfig(learning_rate=rate, epochs=1)
 
 
 def test_train_zero_epochs_is_identity():
