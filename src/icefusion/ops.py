@@ -2,10 +2,11 @@
 
 All functions take and return float64 numpy arrays in channel-first layout
 ([C, H, W], batch normalization uses [N, C, H, W]).  They never write to
-their inputs; ``batch_norm`` is the one op with side effects, updating the
-running statistics on its state object in train mode.  Each backward
-companion is the exact chain-rule transpose of its forward map, which the
-finite-difference suite verifies.
+their inputs.  ``batch_norm`` updates the running statistics on its state
+object in train mode.  ``dropout`` keeps a bounded memo of its last keep-scales,
+so a repeated stream replays its masks without redrawing them, and returns
+each keep-scale read-only.  Each backward companion is the exact chain-rule
+transpose of its forward map, which the finite-difference suite verifies.
 """
 from __future__ import annotations
 
@@ -331,9 +332,12 @@ def batch_norm(x, state: NormState, mode: str = "train"):
             raise DegenerateStatisticsError(
                 "train-mode normalization needs at least 2 values per channel"
             )
-        mean = x.mean(axis=(0, 2, 3))
+        # Sums over a count are what np.mean computes, bit for bit, without
+        # its Python-level wrapper.
+        count = n * height * width
+        mean = x.sum(axis=(0, 2, 3)) / count
         centered = x - mean[None, :, None, None]
-        var = (centered * centered).mean(axis=(0, 2, 3))
+        var = (centered * centered).sum(axis=(0, 2, 3)) / count
         inv_std = 1.0 / np.sqrt(var + state.epsilon)
         xhat = centered * inv_std[None, :, None, None]
         m = state.momentum
@@ -366,9 +370,11 @@ def batch_norm_backward(grad_out, cache, state: NormState):
         )
     grad_gamma = (grad_out * xhat).sum(axis=(0, 2, 3))
     grad_beta = grad_out.sum(axis=(0, 2, 3))
+    n, _, height, width = xhat.shape
+    count = n * height * width
     gh = grad_out * state.gamma[None, :, None, None]
-    mean_gh = gh.mean(axis=(0, 2, 3), keepdims=True)
-    mean_gh_xhat = (gh * xhat).mean(axis=(0, 2, 3), keepdims=True)
+    mean_gh = gh.sum(axis=(0, 2, 3), keepdims=True) / count
+    mean_gh_xhat = (gh * xhat).sum(axis=(0, 2, 3), keepdims=True) / count
     grad_x = inv_std[None, :, None, None] * (gh - mean_gh - xhat * mean_gh_xhat)
     return grad_x, grad_gamma, grad_beta
 
@@ -394,22 +400,48 @@ def sigmoid(x) -> np.ndarray:
     return np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
 
 
+# Keep-scales of the last train-mode draws, keyed by (rng, shape, rate) and
+# oldest first.  A SeededRng always draws the same values, so a hit is the
+# draw itself.  One slot per dropout site of a forward (4 branches x 3 blocks)
+# lets finite-difference probes, which replay one rng, skip every redraw.
+_KEEP_SCALES: dict = {}
+_KEEP_SCALE_SLOTS = 12
+
+
 def dropout(x, rate: float, rng: SeededRng | None, mode: str = "train"):
     """Inverted dropout: zero with probability ``rate``, rescale survivors.
 
     Returns ``(output, keep_scale)`` where ``keep_scale`` is the mask already
     divided by the keep probability (multiply upstream gradients by it), or
     None when the op was an identity (eval mode or rate 0).
+
+    Train mode needs a :class:`SeededRng`.  The keep-scale is read-only and
+    is shared with later calls on an equal (rng, shape, rate): the last 12
+    are memoized, and an eval-mode call empties the memo.
     """
     x = np.asarray(x, dtype=np.float64)
     if not 0.0 <= rate < 1.0:
         raise ConfigurationError(f"dropout rate must lie in [0, 1), got {rate}")
+    if mode == "eval":
+        _KEEP_SCALES.clear()
     if mode == "eval" or rate == 0.0:
         return x.copy(), None
     if mode != "train":
         raise UsageError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if rng is None:
-        raise UsageError("train-mode dropout with a positive rate needs an rng")
-    keep = rng.random(x.shape) >= rate
-    keep_scale = keep.astype(np.float64) / (1.0 - rate)
+    if not isinstance(rng, SeededRng):
+        raise UsageError(
+            f"train-mode dropout with a positive rate needs a SeededRng, got {type(rng).__name__}"
+        )
+    # One float for key and draw alike: an np.float32 rate equals its float64
+    # value as a key but would divide by a float32 keep probability.
+    rate = float(rate)
+    key = (rng, x.shape, rate)
+    keep_scale = _KEEP_SCALES.get(key)
+    if keep_scale is None:
+        keep = rng.random(x.shape) >= rate
+        keep_scale = keep.astype(np.float64) / (1.0 - rate)
+        keep_scale.flags.writeable = False
+        if len(_KEEP_SCALES) >= _KEEP_SCALE_SLOTS:
+            del _KEEP_SCALES[next(iter(_KEEP_SCALES))]
+        _KEEP_SCALES[key] = keep_scale
     return x * keep_scale, keep_scale

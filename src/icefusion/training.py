@@ -51,10 +51,19 @@ class TrainConfig:
             raise ConfigurationError(
                 f"learning rate must be positive and finite, got {self.learning_rate}"
             )
-        if self.epochs < 0:
-            raise ConfigurationError(f"epochs must be non-negative, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigurationError(f"batch size must be at least 1, got {self.batch_size}")
+        if not _is_int(self.epochs) or self.epochs < 0:
+            raise ConfigurationError(
+                f"epochs must be a non-negative integer, got {self.epochs!r}"
+            )
+        if not _is_int(self.batch_size) or self.batch_size < 1:
+            raise ConfigurationError(
+                f"batch size must be an integer of at least 1, got {self.batch_size!r}"
+            )
+
+
+def _is_int(value) -> bool:
+    """True for Python and numpy integers, but not for bools."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def bce_loss(prob, label) -> tuple[float, np.ndarray]:

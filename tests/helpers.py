@@ -106,6 +106,45 @@ def avg_smooth_backward_reference(grad_out, d):
     return box_sum(grad_out / counts, after, before)
 
 
+def dropout_reference(x, rate, rng):
+    """Train-mode dropout drawn afresh from the stream: ``(output, keep_scale)``."""
+    keep_scale = (rng.random(x.shape) >= rate).astype(np.float64) / (1.0 - rate)
+    return x * keep_scale, keep_scale
+
+
+def batch_norm_reference(x, state, mode):
+    """Batch normalization with its moments from ``np.mean``.
+
+    Updates ``state``'s running statistics in train mode, like the library,
+    and returns ``(output, cache)``.
+    """
+    if mode == "train":
+        mean = x.mean(axis=(0, 2, 3))
+        centered = x - mean[None, :, None, None]
+        var = (centered * centered).mean(axis=(0, 2, 3))
+        inv_std = 1.0 / np.sqrt(var + state.epsilon)
+        xhat = centered * inv_std[None, :, None, None]
+        m = state.momentum
+        state.running_mean = m * state.running_mean + (1.0 - m) * mean
+        state.running_var = m * state.running_var + (1.0 - m) * var
+        cache = (xhat, inv_std)
+    else:
+        inv_std = 1.0 / np.sqrt(state.running_var + state.epsilon)
+        xhat = (x - state.running_mean[None, :, None, None]) * inv_std[None, :, None, None]
+        cache = None
+    return state.gamma[None, :, None, None] * xhat + state.beta[None, :, None, None], cache
+
+
+def batch_norm_backward_reference(grad_out, cache, state):
+    """Train-mode batch-norm gradients with their means from ``np.mean``."""
+    xhat, inv_std = cache
+    gh = grad_out * state.gamma[None, :, None, None]
+    mean_gh = gh.mean(axis=(0, 2, 3), keepdims=True)
+    mean_gh_xhat = (gh * xhat).mean(axis=(0, 2, 3), keepdims=True)
+    grad_x = inv_std[None, :, None, None] * (gh - mean_gh - xhat * mean_gh_xhat)
+    return grad_x, (grad_out * xhat).sum(axis=(0, 2, 3)), grad_out.sum(axis=(0, 2, 3))
+
+
 def upsample_reference(x, factor, mode):
     """Per-pixel upsampling oracle for both interpolation modes."""
     channels, h, w = x.shape

@@ -191,6 +191,46 @@ def test_train_forward_deterministic_given_rng():
     assert not np.array_equal(a.prob, c.prob)
 
 
+def count_stream_draws(monkeypatch):
+    """Count every generator a SeededRng builds from here on."""
+    calls = []
+    original = SeededRng.generator
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(SeededRng, "generator", counted)
+    return calls
+
+
+def test_repeated_train_forward_replays_its_dropout_masks(monkeypatch):
+    # 8x8 finite-difference probes replay one rng: the second forward draws
+    # nothing, while its outputs stay those of a fresh draw.
+    net = small_net(seed=16, mwr_factor=4)
+    sar, mwr = scene_arrays(np.random.default_rng(17), net.config, height=8, width=8)
+    forward(net, sar, mwr, mode="eval")  # empties the keep-scale memo
+    calls = count_stream_draws(monkeypatch)
+    a = forward(net, sar, mwr, mode="train", rng=SeededRng(2718))
+    assert len(calls) == 12
+    b = forward(net, sar, mwr, mode="train", rng=SeededRng(2718))
+    assert len(calls) == 12
+    npt.assert_array_equal(a.mixing_inputs, b.mixing_inputs)
+
+
+def test_training_steps_draw_fresh_masks(monkeypatch):
+    # Consecutive training steps use different streams, so the memo never
+    # serves them: each forward draws all 12 masks.
+    net = small_net(seed=16, mwr_factor=4)
+    sar, mwr = scene_arrays(np.random.default_rng(17), net.config, height=8, width=8)
+    forward(net, sar, mwr, mode="eval")
+    calls = count_stream_draws(monkeypatch)
+    forward(net, sar, mwr, mode="train", rng=SeededRng(2718).derive(5, 0))
+    assert len(calls) == 12
+    forward(net, sar, mwr, mode="train", rng=SeededRng(2718).derive(5, 1))
+    assert len(calls) == 24
+
+
 def test_relu_mixing_activation_keeps_branches_nonnegative():
     net = small_net(seed=14, mwr_factor=4, mixing_activation="relu")
     sar, mwr = scene_arrays(np.random.default_rng(15), net.config)

@@ -1,5 +1,6 @@
 """Array-kernel tests: frozen hand values, brute-force oracles, adjoints."""
 import tracemalloc
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -29,8 +30,11 @@ from icefusion.rng import SeededRng
 from helpers import (
     avg_smooth_backward_reference,
     avg_smooth_reference,
+    batch_norm_backward_reference,
+    batch_norm_reference,
     conv2d_backward_input_reference,
     conv2d_reference,
+    dropout_reference,
     upsample_reference,
 )
 
@@ -409,6 +413,39 @@ def test_batch_norm_backward_needs_train_cache():
         batch_norm_backward(np.zeros((1, 1, 2, 2)), None, NormState.initial(1))
 
 
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("grid", [(8, 8), (37, 29)])
+def test_batch_norm_moments_from_sums_match_np_mean_bitwise(n, grid):
+    rng = np.random.default_rng(31)
+    x = rng.normal(loc=0.7, scale=2.0, size=(n, 14) + grid)
+    grad_out = rng.normal(size=x.shape)
+
+    def state():
+        st = NormState.initial(14)
+        st.gamma = np.linspace(0.8, 1.2, 14)
+        st.beta = np.linspace(-0.3, 0.3, 14)
+        st.running_mean = np.linspace(-1.0, 1.0, 14)
+        st.running_var = np.linspace(0.5, 2.0, 14)
+        return st
+
+    got_state, want_state = state(), state()
+    out, cache = batch_norm(x, got_state, mode="train")
+    want, want_cache = batch_norm_reference(x, want_state, mode="train")
+    npt.assert_array_equal(out, want)
+    npt.assert_array_equal(cache[0], want_cache[0])
+    npt.assert_array_equal(cache[1], want_cache[1])
+    npt.assert_array_equal(got_state.running_mean, want_state.running_mean)
+    npt.assert_array_equal(got_state.running_var, want_state.running_var)
+
+    for got, ref in zip(batch_norm_backward(grad_out, cache, got_state),
+                        batch_norm_backward_reference(grad_out, want_cache, want_state)):
+        npt.assert_array_equal(got, ref)
+
+    out, _ = batch_norm(x, got_state, mode="eval")
+    want, _ = batch_norm_reference(x, want_state, mode="eval")
+    npt.assert_array_equal(out, want)
+
+
 # ---------------------------------------------------------------------------
 # Elementwise pieces
 
@@ -457,3 +494,55 @@ def test_dropout_validation():
         dropout(x, 0.5, None, mode="train")
     with pytest.raises(UsageError):
         dropout(x, 0.5, SeededRng(0), mode="off")
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.5])
+@pytest.mark.parametrize("shape", [(14, 8, 8), (28, 64, 64)])
+def test_dropout_replays_the_fresh_draw_read_only(rate, shape):
+    x = np.random.default_rng(41).normal(size=shape)
+    rng = SeededRng(2024).derive(7, 1)
+    want_out, want_scale = dropout_reference(x, rate, rng)
+    first_out, first_scale = dropout(x, rate, rng, mode="train")
+    npt.assert_array_equal(first_out, want_out)
+    npt.assert_array_equal(first_scale, want_scale)
+
+    # An equal key replays the same values; the shared array cannot be edited.
+    out, scale = dropout(x, rate, SeededRng(2024).derive(7, 1), mode="train")
+    npt.assert_array_equal(out, want_out)
+    npt.assert_array_equal(scale, want_scale)
+    assert not scale.flags.writeable
+    with pytest.raises(ValueError):
+        scale[0, 0, 0] = 3.0
+    npt.assert_array_equal(first_scale, want_scale)
+
+
+def test_dropout_each_key_gets_its_own_mask():
+    x = np.ones((14, 8, 8))
+    rng = SeededRng(2024).derive(7, 2)
+    first = dropout(x, 0.3, rng, mode="train")[1]
+    others = [
+        (x, 0.3, SeededRng(2024).derive(7, 3)),   # another path
+        (x, 0.3, SeededRng(2025).derive(7, 2)),   # another seed
+        (np.ones((14, 8, 9)), 0.3, rng),          # another shape
+        (x, 0.5, rng),                            # another rate
+    ]
+    for xx, rate, stream in others:
+        _, scale = dropout(xx, rate, stream, mode="train")
+        npt.assert_array_equal(scale, dropout_reference(xx, rate, stream)[1])
+        assert scale.shape != first.shape or not np.array_equal(scale, first)
+    npt.assert_array_equal(dropout(x, 0.3, rng, mode="train")[1], first)
+
+
+def test_dropout_eval_call_releases_memoized_scales():
+    x = np.ones((14, 8, 8))
+    _, scale = dropout(x, 0.1, SeededRng(2024).derive(7, 4), mode="train")
+    ref = weakref.ref(scale)
+    del scale
+    assert ref() is not None  # the memo still holds it
+    dropout(x, 0.1, None, mode="eval")
+    assert ref() is None
+
+
+def test_dropout_train_mode_refuses_stateful_generators():
+    with pytest.raises(UsageError):
+        dropout(np.ones(4), 0.5, np.random.default_rng(0), mode="train")

@@ -178,6 +178,15 @@ def test_train_config_validation():
     for rate in (float("nan"), float("inf")):
         with pytest.raises(ConfigurationError):
             TrainConfig(learning_rate=rate, epochs=1)
+    # Counts must be true integers: a float epoch count escaped from range()
+    # as a TypeError, and a float batch never filled.
+    for bad in (1.5, 2.0, True, "3", None):
+        with pytest.raises(ConfigurationError):
+            TrainConfig(learning_rate=0.1, epochs=bad)
+        with pytest.raises(ConfigurationError):
+            TrainConfig(learning_rate=0.1, epochs=1, batch_size=bad)
+    cfg = TrainConfig(learning_rate=0.1, epochs=np.int64(2), batch_size=np.int32(3))
+    assert (cfg.epochs, cfg.batch_size) == (2, 3)
 
 
 def test_train_zero_epochs_is_identity():
