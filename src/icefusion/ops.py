@@ -7,6 +7,12 @@ object in train mode.  ``dropout`` keeps a bounded memo of its last keep-scales,
 so a repeated stream replays its masks without redrawing them, and returns
 each keep-scale read-only.  Each backward companion is the exact chain-rule
 transpose of its forward map, which the finite-difference suite verifies.
+
+``conv2d`` builds its im2col window matrix one band of whole output rows at a
+time, about 512 KiB each, so that the matrix and its GEMM stay in cache
+instead of streaming a whole-image window matrix (16-32 MB at 128x128) from
+memory.  Kernel taps whose dilated offset reaches past the whole grid read only
+zero padding; ``conv2d`` leaves them out of the window matrix and the GEMM.
 """
 from __future__ import annotations
 
@@ -45,26 +51,56 @@ def _as_float64(x, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def _is_int(value) -> bool:
+    """True for Python and numpy integers, but not for bools."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 # ---------------------------------------------------------------------------
 # Convolution
 
+# Bytes of im2col window matrix built per band of output rows.  A band and the
+# output columns its GEMM writes stay in a 2-4 MiB L2 cache, where a
+# whole-image window matrix (16-32 MB at 128x128) would stream from memory.
+_BAND_BYTES = 512 * 1024
 
-def _dilated_windows(x: np.ndarray, k: int, dilation: int) -> np.ndarray:
-    """The k x k dilated taps at every output pixel, flattened for matmul (im2col).
 
-    Zero-pads ``x`` [Cin, H, W] for a same-size output and returns the
-    (Cin * k * k, H * W) window matrix.
+def _kept_taps(k: int, dilation: int, n: int) -> slice:
+    """Taps t of one kernel axis whose offset (t - c) * dilation reaches inside n pixels.
+
+    The others read only zero padding on every output pixel, so they are left
+    out of the window matrix and the GEMM.
     """
+    center = (k - 1) // 2
+    reach = min(center, (n - 1) // dilation)
+    return slice(center - reach, center + reach + 1)
+
+
+def _padded(x: np.ndarray, rows: slice, cols: slice, dilation: int) -> np.ndarray:
+    """``x`` [Cin, H, W] zero-padded by the reach of the kept taps."""
     cin, height, width = x.shape
-    pad = (k - 1) // 2 * dilation
-    padded = np.zeros((cin, height + 2 * pad, width + 2 * pad))
-    padded[:, pad:pad + height, pad:pad + width] = x
-    win = np.empty((cin, k, k, height, width))
-    for ty in range(k):
-        for tx in range(k):
-            win[:, ty, tx] = padded[:, ty * dilation:ty * dilation + height,
+    pad_y = (rows.stop - rows.start) // 2 * dilation
+    pad_x = (cols.stop - cols.start) // 2 * dilation
+    padded = np.zeros((cin, height + 2 * pad_y, width + 2 * pad_x))
+    padded[:, pad_y:pad_y + height, pad_x:pad_x + width] = x
+    return padded
+
+
+def _dilated_windows(padded: np.ndarray, ky: int, kx: int, dilation: int,
+                     y0: int, y1: int) -> np.ndarray:
+    """The ky x kx dilated taps at output rows [y0, y1), flattened for matmul (im2col).
+
+    ``padded`` comes from :func:`_padded`; returns the
+    (Cin * ky * kx, (y1 - y0) * W) window matrix.
+    """
+    cin = padded.shape[0]
+    width = padded.shape[2] - (kx - 1) * dilation
+    win = np.empty((cin, ky, kx, y1 - y0, width))
+    for ty in range(ky):
+        for tx in range(kx):
+            win[:, ty, tx] = padded[:, y0 + ty * dilation:y1 + ty * dilation,
                                     tx * dilation:tx * dilation + width]
-    return win.reshape(cin * k * k, height * width)
+    return win.reshape(cin * ky * kx, (y1 - y0) * width)
 
 
 def _check_conv_args(x: np.ndarray, kernels: np.ndarray, dilation: int) -> None:
@@ -73,7 +109,7 @@ def _check_conv_args(x: np.ndarray, kernels: np.ndarray, dilation: int) -> None:
         raise ConfigurationError(f"kernels must be square, got {kh}x{kw}")
     if kh % 2 == 0:
         raise ConfigurationError(f"kernel size must be odd, got {kh}")
-    if not isinstance(dilation, (int, np.integer)) or dilation < 1:
+    if not _is_int(dilation) or dilation < 1:
         raise ConfigurationError(f"dilation must be a positive integer, got {dilation!r}")
     if x.shape[0] != cin:
         raise DimensionError(
@@ -89,6 +125,12 @@ def conv2d(x, kernels, bias, dilation: int = 1) -> np.ndarray:
     (y + dilation*(ty - c), x + dilation*(tx - c)) with c = (k-1)//2, so the
     output keeps the input's spatial size and out-of-range taps contribute
     zero.
+
+    Taps with |dilation*(t - c)| at or past the grid's height (rows) or width
+    (columns) read only padding and are skipped; the input is padded only by
+    the reach of the taps kept.  The im2col window matrix is built one band
+    of whole output rows at a time, about 512 KiB each, and each band's GEMM
+    writes its own columns of the output.
     """
     x = _as_float64(x, "input", 3)
     kernels = _as_float64(kernels, "kernels", 4)
@@ -98,9 +140,18 @@ def conv2d(x, kernels, bias, dilation: int = 1) -> np.ndarray:
     if bias.shape[0] != cout:
         raise DimensionError(f"bias has {bias.shape[0]} entries, expected {cout}")
     height, width = x.shape[1:]
-    flat = _dilated_windows(x, k, dilation)
-    out = kernels.reshape(cout, cin * k * k) @ flat
-    out = out.reshape(cout, height, width) + bias[:, None, None]
+    rows, cols = _kept_taps(k, dilation, height), _kept_taps(k, dilation, width)
+    ky, kx = rows.stop - rows.start, cols.stop - cols.start
+    weights = kernels[:, :, rows, cols].reshape(cout, cin * ky * kx)
+    padded = _padded(x, rows, cols, dilation)
+    band = max(1, _BAND_BYTES // (8 * cin * ky * kx * width))
+    out = np.empty((cout, height * width))
+    for y0 in range(0, height, band):
+        y1 = min(y0 + band, height)
+        np.matmul(weights, _dilated_windows(padded, ky, kx, dilation, y0, y1),
+                  out=out[:, y0 * width:y1 * width])
+    out = out.reshape(cout, height, width)
+    out += bias[:, None, None]
     return out
 
 
@@ -115,7 +166,9 @@ def conv2d_backward(grad_out, x, kernels, dilation: int = 1):
     """Gradients of :func:`conv2d` at (x, kernels).
 
     Returns ``(grad_x, grad_kernels, grad_bias)`` for the upstream gradient
-    ``grad_out`` of shape [Cout, H, W].
+    ``grad_out`` of shape [Cout, H, W].  The im2col covers every tap and the
+    whole image in one matrix, so ``grad_kernels`` reduces over all pixels in
+    one GEMM, in the same order whatever the grid.
     """
     grad_out = _as_float64(grad_out, "grad_out", 3)
     x = _as_float64(x, "input", 3)
@@ -127,7 +180,8 @@ def conv2d_backward(grad_out, x, kernels, dilation: int = 1):
         raise DimensionError(
             f"grad_out shape {grad_out.shape} does not match output ({cout}, {height}, {width})"
         )
-    flat = _dilated_windows(x, k, dilation)
+    taps = slice(0, k)
+    flat = _dilated_windows(_padded(x, taps, taps, dilation), k, k, dilation, 0, height)
     g2 = grad_out.reshape(cout, height * width)
 
     grad_kernels = (g2 @ flat.T).reshape(cout, cin, k, k)
@@ -184,26 +238,32 @@ def _window_counts(bounds) -> np.ndarray:
     return counts.astype(np.float64)
 
 
-def _box_sum(x: np.ndarray, bounds) -> np.ndarray:
-    """Sums of ``x`` over the clamped windows of :func:`_window_bounds`.
+def _box_sum(x: np.ndarray, before: int, after: int) -> np.ndarray:
+    """Sums of ``x`` over the clamped windows [i-before, i+after] of each pixel.
 
-    Output pixel (y, x) sums inputs over rows [ylo[y], yhi[y]] and columns
-    [xlo[x], xhi[x]], read from a summed-area table over the two trailing axes.
+    Reads the four corners of each window from a summed-area table over the
+    two trailing axes.  The table is edge-extended: entry i holds the
+    integral-image entry clamp(i - before, 0, n), so the corners of every
+    window are plain shifted slices.
     """
-    (ylo, yhi), (xlo, xhi) = bounds
     channels, height, width = x.shape
-    integral = np.zeros((channels, height + 1, width + 1))
-    integral[:, 1:, 1:] = x.cumsum(axis=1).cumsum(axis=2)
-    return (
-        integral[:, (yhi + 1)[:, None], (xhi + 1)[None, :]]
-        - integral[:, ylo[:, None], (xhi + 1)[None, :]]
-        - integral[:, (yhi + 1)[:, None], xlo[None, :]]
-        + integral[:, ylo[:, None], xlo[None, :]]
-    )
+    d = before + after + 1
+    table = np.empty((channels, height + d, width + d))
+    table[:, :before + 1] = 0.0
+    table[:, before + 1:, :before + 1] = 0.0
+    core = table[:, before + 1:before + 1 + height, before + 1:before + 1 + width]
+    np.cumsum(x, axis=1, out=core)
+    np.cumsum(core, axis=2, out=core)
+    table[:, before + 1:before + 1 + height, before + 1 + width:] = core[:, :, -1:]
+    table[:, before + 1 + height:] = table[:, before + height:before + 1 + height]
+    out = table[:, d:, d:] - table[:, :height, d:]
+    out -= table[:, d:, :width]
+    out += table[:, :height, :width]
+    return out
 
 
 def _check_window(d) -> None:
-    if not isinstance(d, (int, np.integer)) or d < 1:
+    if not _is_int(d) or d < 1:
         raise ConfigurationError(f"window size must be a positive integer, got {d!r}")
 
 
@@ -218,8 +278,10 @@ def avg_smooth(x, d: int) -> np.ndarray:
     _check_window(d)
     if d == 1:
         return x.copy()
-    bounds = _window_bounds(*x.shape[1:], *_window_reach(d))
-    return _box_sum(x, bounds) / _window_counts(bounds)
+    before, after = _window_reach(d)
+    out = _box_sum(x, before, after)
+    out /= _window_counts(_window_bounds(*x.shape[1:], before, after))
+    return out
 
 
 def avg_smooth_backward(grad_out, d: int) -> np.ndarray:
@@ -233,7 +295,7 @@ def avg_smooth_backward(grad_out, d: int) -> np.ndarray:
     counts = _window_counts(_window_bounds(height, width, before, after))
     # Input pixel u feeds output y whenever u is inside y's window, i.e.
     # y in [u-after, u+before]: the reflected window.
-    return _box_sum(grad_out / counts, _window_bounds(height, width, after, before))
+    return _box_sum(grad_out / counts, after, before)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +321,7 @@ def upsample(x, factor: int, mode: str = "nearest") -> np.ndarray:
     so fine pixel (y, x) reads coarse position ((y+0.5)/factor - 0.5, ...).
     """
     x = _as_float64(x, "input", 3)
-    if not isinstance(factor, (int, np.integer)) or factor < 1:
+    if not _is_int(factor) or factor < 1:
         raise ConfigurationError(f"factor must be a positive integer, got {factor!r}")
     if mode == "nearest":
         return np.repeat(np.repeat(x, factor, axis=1), factor, axis=2)
@@ -336,21 +398,26 @@ def batch_norm(x, state: NormState, mode: str = "train"):
         # its Python-level wrapper.
         count = n * height * width
         mean = x.sum(axis=(0, 2, 3)) / count
-        centered = x - mean[None, :, None, None]
-        var = (centered * centered).sum(axis=(0, 2, 3)) / count
+        xhat = x - mean[None, :, None, None]
+        out = xhat * xhat
+        var = out.sum(axis=(0, 2, 3)) / count
         inv_std = 1.0 / np.sqrt(var + state.epsilon)
-        xhat = centered * inv_std[None, :, None, None]
+        xhat *= inv_std[None, :, None, None]
         m = state.momentum
         state.running_mean = m * state.running_mean + (1.0 - m) * mean
         state.running_var = m * state.running_var + (1.0 - m) * var
+        # The squares are spent: their buffer takes the output.
+        np.multiply(state.gamma[None, :, None, None], xhat, out=out)
         cache = (xhat, inv_std)
     elif mode == "eval":
         inv_std = 1.0 / np.sqrt(state.running_var + state.epsilon)
-        xhat = (x - state.running_mean[None, :, None, None]) * inv_std[None, :, None, None]
+        out = x - state.running_mean[None, :, None, None]
+        out *= inv_std[None, :, None, None]
+        out *= state.gamma[None, :, None, None]
         cache = None
     else:
         raise UsageError(f"mode must be 'train' or 'eval', got {mode!r}")
-    out = state.gamma[None, :, None, None] * xhat + state.beta[None, :, None, None]
+    out += state.beta[None, :, None, None]
     return out, cache
 
 

@@ -17,6 +17,7 @@ from .network import (
     forward,
     named_parameters,
 )
+from .ops import _is_int
 from .rng import SeededRng
 
 __all__ = [
@@ -59,11 +60,6 @@ class TrainConfig:
             raise ConfigurationError(
                 f"batch size must be an integer of at least 1, got {self.batch_size!r}"
             )
-
-
-def _is_int(value) -> bool:
-    """True for Python and numpy integers, but not for bools."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def bce_loss(prob, label) -> tuple[float, np.ndarray]:
@@ -132,6 +128,9 @@ def train(net: FusionNetwork, scenes, cfg: TrainConfig) -> tuple[FusionNetwork, 
     Scenes are visited one per forward/backward pass; with batch_size > 1
     gradients are averaged over that many consecutive scenes before each
     update.  Returns the network and the mean per-scene loss of every epoch.
+
+    A non-finite gradient raises :class:`DataError` naming the epoch, scene
+    and parameter, before the step it belongs to touches any parameter.
     """
     _check_scenes(net, scenes)
     root = SeededRng(cfg.seed)
@@ -152,6 +151,12 @@ def train(net: FusionNetwork, scenes, cfg: TrainConfig) -> tuple[FusionNetwork, 
             loss, grad_prob = bce_loss(fp.prob, scene.label)
             losses.append(loss)
             grads = backward(net, fp.cache, grad_prob)
+            for name, g in grads.items():
+                if not np.isfinite(g).all():
+                    raise DataError(
+                        f"non-finite gradient for {name!r} in epoch {epoch}, "
+                        f"scene {int(scene_index)}"
+                    )
             pending = {k: pending[k] + g for k, g in grads.items()} if pending else grads
             pending_count += 1
             if pending_count == cfg.batch_size or pos == len(order) - 1:

@@ -40,6 +40,26 @@ def conv2d_reference(x, kernels, bias, dilation=1):
     return out
 
 
+def conv2d_single_gemm(x, kernels, bias, dilation=1):
+    """Convolution as one GEMM over a whole-image im2col of every tap.
+
+    Pads by the full reach of the kernel and keeps taps that read only
+    padding, so no row band or tap skip is involved.
+    """
+    cout, cin, k, _ = kernels.shape
+    _, height, width = x.shape
+    pad = (k - 1) // 2 * dilation
+    padded = np.zeros((cin, height + 2 * pad, width + 2 * pad))
+    padded[:, pad:pad + height, pad:pad + width] = x
+    win = np.empty((cin, k, k, height, width))
+    for ty in range(k):
+        for tx in range(k):
+            win[:, ty, tx] = padded[:, ty * dilation:ty * dilation + height,
+                                    tx * dilation:tx * dilation + width]
+    out = kernels.reshape(cout, cin * k * k) @ win.reshape(cin * k * k, height * width)
+    return out.reshape(cout, height, width) + bias[:, None, None]
+
+
 def avg_smooth_reference(x, d):
     """Windowed mean with the window clipped to the image at the borders."""
     channels, height, width = x.shape

@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from icefusion import ops
 from icefusion.errors import (
     ConfigurationError,
     DegenerateStatisticsError,
@@ -34,6 +35,7 @@ from helpers import (
     batch_norm_reference,
     conv2d_backward_input_reference,
     conv2d_reference,
+    conv2d_single_gemm,
     dropout_reference,
     upsample_reference,
 )
@@ -113,6 +115,67 @@ def test_conv2d_validation():
         conv2d(x, np.zeros((1, 3, 3, 3)), np.zeros(1))  # channel mismatch
     with pytest.raises(DimensionError):
         conv2d(x, np.zeros((2, 2, 3, 3)), np.zeros(1))  # bias length
+    with pytest.raises(ConfigurationError):
+        conv2d(x, np.zeros((1, 2, 3, 3)), np.zeros(1), dilation=True)
+    with pytest.raises(ConfigurationError):
+        conv2d_backward(np.zeros((1, 4, 4)), x, np.zeros((1, 2, 3, 3)), dilation=True)
+
+
+@pytest.mark.parametrize("shape", [(14, 70, 37), (28, 96, 96)])
+def test_conv2d_bands_match_one_whole_image_gemm_on_integers(shape):
+    # Integer sums are exact in any order, so the banded GEMMs must equal
+    # one GEMM over the whole-image window matrix bit for bit.
+    cin, height, width = shape
+    assert cin * 9 * height * width * 8 > 4 * ops._BAND_BYTES  # several bands
+    rng = np.random.default_rng(cin + height)
+    for dilation in range(1, 17):
+        x = rng.integers(-4, 5, size=shape).astype(float)
+        kernels = rng.integers(-3, 4, size=(cin, cin, 3, 3)).astype(float)
+        bias = rng.integers(-3, 4, size=cin).astype(float)
+        npt.assert_array_equal(conv2d(x, kernels, bias, dilation=dilation),
+                               conv2d_single_gemm(x, kernels, bias, dilation),
+                               err_msg=f"dilation {dilation}")
+
+
+def test_conv2d_bands_agree_with_one_whole_image_gemm_on_floats():
+    # A band's last columns may take another BLAS tail kernel, which can move
+    # the last bits of a float sum.  Those bits scale with the summed terms,
+    # not with an output that cancels to near zero, hence the atol.
+    rng = np.random.default_rng(37)
+    for dilation in range(1, 17):
+        x = rng.normal(size=(14, 40, 37))
+        kernels = rng.normal(size=(14, 14, 3, 3))
+        bias = rng.normal(size=14)
+        want = conv2d_single_gemm(x, kernels, bias, dilation)
+        npt.assert_allclose(conv2d(x, kernels, bias, dilation=dilation), want,
+                            rtol=1e-13, atol=1e-13 * np.abs(want).max(),
+                            err_msg=f"dilation {dilation}")
+
+
+def test_conv2d_peak_memory_stays_well_below_one_window_matrix():
+    rng = np.random.default_rng(128)
+    x = rng.normal(size=(28, 128, 128))
+    kernels = rng.normal(size=(28, 28, 3, 3))
+    bias = rng.normal(size=28)
+    im2col_bytes = 28 * 3 * 3 * 128 * 128 * 8  # 31.5 MB
+    tracemalloc.start()
+    try:
+        conv2d(x, kernels, bias, dilation=16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * im2col_bytes, peak / im2col_bytes
+
+
+@pytest.mark.parametrize("dilation", [8, 16])
+def test_conv2d_taps_past_the_grid_leave_the_centre_tap(dilation):
+    # On 8x8 every off-centre tap of dilation 8 or 16 reads only padding.
+    rng = np.random.default_rng(dilation)
+    x = rng.integers(-4, 5, size=(14, 8, 8)).astype(float)
+    kernels = rng.integers(-3, 4, size=(14, 14, 3, 3)).astype(float)
+    bias = rng.integers(-3, 4, size=14).astype(float)
+    npt.assert_array_equal(conv2d(x, kernels, bias, dilation=dilation),
+                           conv2d(x, kernels[:, :, 1:2, 1:2], bias))
 
 
 def test_conv2d_backward_matches_finite_differences():
@@ -255,6 +318,10 @@ def test_avg_smooth_validation():
         avg_smooth(np.zeros((1, 4, 4)), 0)
     with pytest.raises(ConfigurationError):
         avg_smooth_backward(np.zeros((1, 4, 4)), -1)
+    with pytest.raises(ConfigurationError):
+        avg_smooth(np.zeros((1, 4, 4)), True)
+    with pytest.raises(ConfigurationError):
+        avg_smooth_backward(np.zeros((1, 4, 4)), True)
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +387,8 @@ def test_upsample_validation():
         upsample(np.zeros((1, 2, 2)), 0)
     with pytest.raises(ConfigurationError):
         upsample(np.zeros((1, 2, 2)), 2, "cubic")
+    with pytest.raises(ConfigurationError):
+        upsample(np.zeros((1, 2, 2)), True)
 
 
 # ---------------------------------------------------------------------------
@@ -546,3 +615,52 @@ def test_dropout_eval_call_releases_memoized_scales():
 def test_dropout_train_mode_refuses_stateful_generators():
     with pytest.raises(UsageError):
         dropout(np.ones(4), 0.5, np.random.default_rng(0), mode="train")
+
+
+# ---------------------------------------------------------------------------
+# The module contract
+
+
+def _read_only(*arrays):
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+def test_ops_never_write_to_their_inputs():
+    # Read-only inputs make any write raise; the outputs must be fresh
+    # arrays.  Only batch_norm's train mode may change its state, and it
+    # rebinds the running statistics rather than writing into them.
+    rng = np.random.default_rng(21)
+    x, g = _read_only(rng.normal(size=(3, 9, 8)), rng.normal(size=(3, 9, 8)))
+    kernels, bias = _read_only(rng.normal(size=(3, 3, 3, 3)), rng.normal(size=3))
+    state = NormState.initial(3)
+    _read_only(state.gamma, state.beta, state.running_mean, state.running_var)
+    _, cache = batch_norm(x[None], state, "train")
+    calls = {
+        "relu": (relu(x), [x]),
+        "sigmoid": (sigmoid(x), [x]),
+        "batch_norm_backward": (batch_norm_backward(g[None], cache, state), [g, *cache]),
+    }
+    for mode in ("train", "eval"):
+        calls[f"batch_norm {mode}"] = (batch_norm(x[None], state, mode), [x])
+        calls[f"dropout {mode}"] = (dropout(x, 0.5, SeededRng(4), mode), [x])
+    for mode in ("nearest", "bilinear"):
+        for factor in (1, 2):
+            calls[f"upsample {mode} {factor}"] = (upsample(x, factor, mode), [x])
+    for d in (1, 2, 16):
+        calls[f"conv2d {d}"] = (conv2d(x, kernels, bias, dilation=d), [x, kernels, bias])
+        calls[f"conv2d_backward {d}"] = (conv2d_backward(g, x, kernels, dilation=d),
+                                         [g, x, kernels])
+        calls[f"avg_smooth {d}"] = (avg_smooth(x, d), [x])
+        calls[f"avg_smooth_backward {d}"] = (avg_smooth_backward(g, d), [g])
+    state_arrays = [state.gamma, state.beta]
+    for name, (result, inputs) in calls.items():
+        outputs = [result]
+        while outputs:
+            out = outputs.pop()
+            if isinstance(out, tuple):
+                outputs.extend(out)
+            elif out is not None:
+                for arr in inputs + state_arrays:
+                    assert not np.shares_memory(out, arr), name

@@ -210,6 +210,23 @@ def test_train_rejects_bad_datasets():
         train(net, ragged, cfg)
 
 
+def test_train_stops_on_a_non_finite_gradient():
+    # At logit -800 the clamped probability is 5e-324, and the probability
+    # gradient of a label-1 pixel overflows to -inf.
+    scenes = training_scenes(n=2)
+    assert all(scene.label.max() == 1.0 for scene in scenes)
+    net = build(ModelConfig.for_variant("small", mwr_factor=4), SeededRng(1))
+    net.mixing_coefficients[:] = 0.0
+    net.mixing_bias[...] = -800.0
+    before = {name: p.copy() for name, p in named_parameters(net)}
+    cfg = TrainConfig(learning_rate=0.05, epochs=1, shuffle=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DataError, match=r"non-finite gradient for '.+' in epoch 0, scene 0"):
+            train(net, scenes, cfg)
+    for name, p in named_parameters(net):
+        npt.assert_array_equal(p, before[name], err_msg=name)
+
+
 def test_train_is_bit_deterministic():
     scenes = training_scenes(n=3)
     cfg = TrainConfig(learning_rate=0.05, epochs=2, seed=42)
