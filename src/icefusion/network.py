@@ -112,10 +112,13 @@ class ModelConfig:
     mwr_factor: int = 16
 
     def __post_init__(self):
-        object.__setattr__(self, "dilation_rates", tuple(int(d) for d in self.dilation_rates))
+        rates = self.dilation_rates
+        if not isinstance(rates, (tuple, list)) or not all(map(ops._is_int, rates)):
+            raise ConfigurationError(f"dilation rates must be integers, got {rates!r}")
+        rates = tuple(int(d) for d in rates)
+        object.__setattr__(self, "dilation_rates", rates)
         if self.variant not in (*_BRANCH_WIDTH, "custom"):
             raise ConfigurationError(f"unknown variant {self.variant!r}")
-        rates = self.dilation_rates
         if not rates or any(d < 2 for d in rates) or any(
             b <= a for a, b in zip(rates, rates[1:])
         ):
@@ -134,16 +137,23 @@ class ModelConfig:
             raise ConfigurationError(
                 f"upsample mode must be 'nearest' or 'bilinear', got {self.upsample_mode!r}"
             )
-        if self.mwr_channels < 1 or self.mwr_factor < 1:
-            raise ConfigurationError("channel counts and the grid factor must be positive")
+        if not all(ops._is_int(n) and n >= 1 for n in (self.mwr_channels, self.mwr_factor)):
+            raise ConfigurationError(
+                "the mwr channel count and grid factor must be positive integers, "
+                f"got {self.mwr_channels!r} and {self.mwr_factor!r}"
+            )
 
+        if not isinstance(self.group_widths, dict):
+            raise ConfigurationError(f"group widths must be a mapping, got {self.group_widths!r}")
         expected = _group_names(rates)
         if list(self.group_widths) != expected:
             raise ConfigurationError(
                 f"group widths must name {expected} in order, got {list(self.group_widths)}"
             )
-        if any(w < 1 for w in self.group_widths.values()):
-            raise ConfigurationError("every group width must be positive")
+        if not all(ops._is_int(w) and w >= 1 for w in self.group_widths.values()):
+            raise ConfigurationError(
+                f"every group width must be a positive integer, got {self.group_widths}"
+            )
         if self.group_widths[GROUP_BTEMP] != self.mwr_channels:
             raise ConfigurationError(
                 "the btemp group width must equal the number of mwr channels"
@@ -203,14 +213,13 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
         fields = dict(data)
-        rates = tuple(int(r) for r in fields.get("dilation_rates", _DEFAULT_RATES))
-        # Serializers are free to reorder mapping keys (canonical JSON sorts
-        # them), so rebuild the widths in canonical group order.
-        widths = {str(k): int(v) for k, v in fields["group_widths"].items()}
-        order = _group_names(rates)
-        if sorted(widths) == sorted(order):
-            widths = {name: widths[name] for name in order}
-        fields["group_widths"] = widths
+        widths = fields["group_widths"]
+        if isinstance(widths, dict):
+            # Serializers are free to reorder mapping keys (canonical JSON sorts
+            # them), so rebuild the widths in canonical group order.
+            order = _group_names(fields.get("dilation_rates", _DEFAULT_RATES))
+            if sorted(widths) == sorted(order):
+                fields["group_widths"] = {name: widths[name] for name in order}
         return cls(**fields)
 
 
@@ -321,6 +330,23 @@ def build(config: ModelConfig, rng: SeededRng) -> FusionNetwork:
         mixing_coefficients=coeffs,
         mixing_bias=np.zeros(()),
     )
+
+
+def _value_count(config: ModelConfig) -> int:
+    """Float64 values in the parameters and running statistics ``build(config)`` makes.
+
+    Lets a loader hold a stored config against its payload before allocating
+    the network it describes.
+    """
+    taps = _KERNEL_SIZE * _KERNEL_SIZE
+    stem = config.group_widths[GROUP_SCALE0]
+    count = (SAR_CHANNELS * taps + 1) * stem + (_STEM_DEPTH - 1) * (stem * taps + 1) * stem
+    for d in config.dilation_rates:
+        width = config.group_widths[scale_group_name(d)]
+        count += (stem * taps + 1) * width
+        count += (2 * _BRANCH_BLOCKS - 1) * (width * taps + 1) * width
+        count += _BRANCH_BLOCKS * 4 * width  # gamma, beta, running mean and variance
+    return count + config.mixing_width + 1
 
 
 def _check_inputs(config: ModelConfig, sar: np.ndarray, mwr: np.ndarray) -> None:

@@ -11,11 +11,15 @@ transpose of its forward map, which the finite-difference suite verifies.
 ``conv2d`` builds its im2col window matrix one band of whole output rows at a
 time, about 512 KiB each, so that the matrix and its GEMM stay in cache
 instead of streaming a whole-image window matrix (16-32 MB at 128x128) from
-memory.  Kernel taps whose dilated offset reaches past the whole grid read only
-zero padding; ``conv2d`` leaves them out of the window matrix and the GEMM.
+memory.  Each band is one strided view of the padded input, copied into a
+contiguous matrix in a single C-level pass, so the GEMM stays on the BLAS
+path.  Kernel taps whose dilated offset reaches past the whole grid read only
+zero padding; ``conv2d`` leaves them out of the window matrix and the GEMM, and
+when no kept tap leaves the grid it pads and copies nothing.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,10 +81,16 @@ def _kept_taps(k: int, dilation: int, n: int) -> slice:
 
 
 def _padded(x: np.ndarray, rows: slice, cols: slice, dilation: int) -> np.ndarray:
-    """``x`` [Cin, H, W] zero-padded by the reach of the kept taps."""
+    """``x`` [Cin, H, W] zero-padded by the reach of the kept taps, C-contiguous.
+
+    When no kept tap reaches past the grid the input needs no padding, and
+    ``x`` itself is returned (copied only if it is not C-contiguous).
+    """
     cin, height, width = x.shape
     pad_y = (rows.stop - rows.start) // 2 * dilation
     pad_x = (cols.stop - cols.start) // 2 * dilation
+    if pad_y == pad_x == 0:
+        return np.ascontiguousarray(x)
     padded = np.zeros((cin, height + 2 * pad_y, width + 2 * pad_x))
     padded[:, pad_y:pad_y + height, pad_x:pad_x + width] = x
     return padded
@@ -91,16 +101,23 @@ def _dilated_windows(padded: np.ndarray, ky: int, kx: int, dilation: int,
     """The ky x kx dilated taps at output rows [y0, y1), flattened for matmul (im2col).
 
     ``padded`` comes from :func:`_padded`; returns the
-    (Cin * ky * kx, (y1 - y0) * W) window matrix.
+    (Cin * ky * kx, (y1 - y0) * W) window matrix.  The taps are one strided
+    (Cin, ky, kx, rows, W) view of ``padded``, and the reshape copies it into
+    a contiguous matrix in one C-level pass.  The copy is deliberate: a GEMM
+    on the strided view itself would leave the BLAS path.  With a single tap
+    the rows of the view are already whole image rows, so the reshape is a
+    view of ``padded`` and nothing is copied.
     """
-    cin = padded.shape[0]
-    width = padded.shape[2] - (kx - 1) * dilation
-    win = np.empty((cin, ky, kx, y1 - y0, width))
-    for ty in range(ky):
-        for tx in range(kx):
-            win[:, ty, tx] = padded[:, y0 + ty * dilation:y1 + ty * dilation,
-                                    tx * dilation:tx * dilation + width]
-    return win.reshape(cin * ky * kx, (y1 - y0) * width)
+    cin, _, padded_width = padded.shape
+    width = padded_width - (kx - 1) * dilation
+    plane, row, col = padded.strides
+    taps = np.ndarray((cin, ky, kx, y1 - y0, width), np.float64, padded, y0 * row,
+                      (plane, dilation * row, dilation * col, row, col))
+    win = taps.reshape(cin * ky * kx, (y1 - y0) * width)
+    # One channel with one column tap reshapes to a view of overlapping rows.
+    if ky * kx > 1 and not win.flags.c_contiguous:
+        win = win.copy()
+    return win
 
 
 def _check_conv_args(x: np.ndarray, kernels: np.ndarray, dilation: int) -> None:
@@ -219,23 +236,20 @@ def _window_reach(d: int) -> tuple[int, int]:
     return before, after
 
 
-def _window_bounds(height: int, width: int, before: int, after: int):
-    """First and last row and column of each clamped window [i-before, i+after].
+@functools.lru_cache(maxsize=64)
+def _window_counts(height: int, width: int, before: int, after: int) -> np.ndarray:
+    """Per-pixel count of in-bounds pixels under each clamped window [i-before, i+after].
 
-    Returns ``((ylo, yhi), (xlo, xhi))``, the bounds intersected with the image.
+    Depends only on the geometry, so each one is built once and kept
+    read-only; callers divide by it and never hand it out.
     """
-    def axis(n: int):
+    def axis(n: int) -> np.ndarray:
         idx = np.arange(n)
-        return np.maximum(idx - before, 0), np.minimum(idx + after, n - 1)
+        return np.minimum(idx + after, n - 1) - np.maximum(idx - before, 0) + 1
 
-    return axis(height), axis(width)
-
-
-def _window_counts(bounds) -> np.ndarray:
-    """Per-pixel count of in-bounds pixels under each clamped window."""
-    (ylo, yhi), (xlo, xhi) = bounds
-    counts = (yhi - ylo + 1)[:, None] * (xhi - xlo + 1)[None, :]
-    return counts.astype(np.float64)
+    counts = (axis(height)[:, None] * axis(width)[None, :]).astype(np.float64)
+    counts.flags.writeable = False
+    return counts
 
 
 def _box_sum(x: np.ndarray, before: int, after: int) -> np.ndarray:
@@ -280,7 +294,7 @@ def avg_smooth(x, d: int) -> np.ndarray:
         return x.copy()
     before, after = _window_reach(d)
     out = _box_sum(x, before, after)
-    out /= _window_counts(_window_bounds(*x.shape[1:], before, after))
+    out /= _window_counts(*x.shape[1:], before, after)
     return out
 
 
@@ -291,8 +305,7 @@ def avg_smooth_backward(grad_out, d: int) -> np.ndarray:
     if d == 1:
         return grad_out.copy()
     before, after = _window_reach(d)
-    height, width = grad_out.shape[1:]
-    counts = _window_counts(_window_bounds(height, width, before, after))
+    counts = _window_counts(*grad_out.shape[1:], before, after)
     # Input pixel u feeds output y whenever u is inside y's window, i.e.
     # y in [u-after, u+before]: the reflected window.
     return _box_sum(grad_out / counts, after, before)
@@ -435,15 +448,22 @@ def batch_norm_backward(grad_out, cache, state: NormState):
         raise DimensionError(
             f"grad_out shape {grad_out.shape} does not match the cached batch {xhat.shape}"
         )
-    grad_gamma = (grad_out * xhat).sum(axis=(0, 2, 3))
+    # One scratch buffer takes grad_out*xhat, then gh*xhat, then
+    # xhat*mean_gh_xhat; gh becomes grad_x in place.  Same ops, same order.
+    scratch = grad_out * xhat
+    grad_gamma = scratch.sum(axis=(0, 2, 3))
     grad_beta = grad_out.sum(axis=(0, 2, 3))
     n, _, height, width = xhat.shape
     count = n * height * width
     gh = grad_out * state.gamma[None, :, None, None]
     mean_gh = gh.sum(axis=(0, 2, 3), keepdims=True) / count
-    mean_gh_xhat = (gh * xhat).sum(axis=(0, 2, 3), keepdims=True) / count
-    grad_x = inv_std[None, :, None, None] * (gh - mean_gh - xhat * mean_gh_xhat)
-    return grad_x, grad_gamma, grad_beta
+    np.multiply(gh, xhat, out=scratch)
+    mean_gh_xhat = scratch.sum(axis=(0, 2, 3), keepdims=True) / count
+    np.multiply(xhat, mean_gh_xhat, out=scratch)
+    gh -= mean_gh
+    gh -= scratch
+    gh *= inv_std[None, :, None, None]
+    return gh, grad_gamma, grad_beta
 
 
 # ---------------------------------------------------------------------------

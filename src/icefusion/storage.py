@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    ConfigurationError,
     FormatError,
     IntegrityError,
     ProvenanceError,
@@ -34,6 +35,7 @@ from .importance import AnalysisReport, ComparisonReport, ZScoreEntry, ranked_gr
 from .network import (
     FusionNetwork,
     ModelConfig,
+    _value_count,
     build,
     named_parameters,
     named_state,
@@ -132,7 +134,7 @@ def _read_document(path: Path, schema: str) -> dict:
         doc = json.loads(path.read_text("utf-8"))
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
     _check_envelope(doc, schema, path)
     return doc
@@ -177,7 +179,7 @@ def _read_container(path, schema: str) -> tuple[dict, dict[str, np.ndarray]]:
         raise FormatError(f"{path} has no header line")
     try:
         header = json.loads(blob[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{path} has a malformed header: {exc}") from exc
     _check_envelope(header, schema, path)
     payload = blob[newline + 1:]
@@ -246,8 +248,13 @@ def load_checkpoint(path) -> FusionNetwork:
     header, arrays = _read_container(path, _CHECKPOINT_SCHEMA)
     try:
         config = ModelConfig.from_dict(header["model_config"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
         raise FormatError(f"checkpoint is missing a valid model config: {exc}") from exc
+    # A config that needs more values than the file holds cannot match it;
+    # refuse before building, which allocates whatever the config claims.
+    needed, stored = _value_count(config), sum(value.size for value in arrays.values())
+    if needed > stored:
+        raise IntegrityError(f"checkpoint config needs {needed} values, the file holds {stored}")
     net = build(config, SeededRng(0))
     expected = named_parameters(net) + named_state(net)
     for name, value in expected:
@@ -276,7 +283,7 @@ def load_scene(path) -> tuple[Scene, SceneConfig]:
     try:
         cfg = SceneConfig(**header["scene_config"])
         scene = Scene(sar=arrays["sar"], mwr=arrays["mwr"], label=arrays["label"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ConfigurationError) as exc:
         raise FormatError(f"scene file is incomplete: {exc}") from exc
     return scene, cfg
 
@@ -442,7 +449,7 @@ def read_report(path) -> ReportFile:
             dead_nodes=tuple(int(i) for i in doc["dead_nodes"]),
         )
         top_ranking = tuple(int(i) for i in doc.get("top_ranking", []))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"report {path} is incomplete: {exc}") from exc
     live = {e.input_index for e in entries if not e.dead}
     dead = {e.input_index for e in entries} - live

@@ -39,6 +39,11 @@ _STREAM_SHUFFLE = 4
 _STREAM_STEP = 5
 
 
+def _is_real(value) -> bool:
+    """True for Python and numpy integers and floats, but not for bools."""
+    return isinstance(value, (float, np.floating)) or _is_int(value)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float
@@ -48,7 +53,8 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+        if not (_is_real(self.learning_rate) and np.isfinite(self.learning_rate)
+                and self.learning_rate > 0.0):
             raise ConfigurationError(
                 f"learning rate must be positive and finite, got {self.learning_rate}"
             )
@@ -60,6 +66,8 @@ class TrainConfig:
             raise ConfigurationError(
                 f"batch size must be an integer of at least 1, got {self.batch_size!r}"
             )
+        if not isinstance(self.shuffle, (bool, np.bool_)):
+            raise ConfigurationError(f"shuffle must be a bool, got {self.shuffle!r}")
 
 
 def bce_loss(prob, label) -> tuple[float, np.ndarray]:
@@ -90,7 +98,7 @@ def sgd_step(net: FusionNetwork, grads: dict[str, np.ndarray], learning_rate: fl
     Normalization running statistics are untouched; they only move inside
     train-mode forward passes.  Returns the same network for chaining.
     """
-    if not (np.isfinite(learning_rate) and learning_rate >= 0.0):
+    if not (_is_real(learning_rate) and np.isfinite(learning_rate) and learning_rate >= 0.0):
         raise ConfigurationError(
             f"learning rate must be non-negative and finite, got {learning_rate}"
         )

@@ -60,6 +60,21 @@ def conv2d_single_gemm(x, kernels, bias, dilation=1):
     return out.reshape(cout, height, width) + bias[:, None, None]
 
 
+def dilated_windows_reference(padded, ky, kx, dilation, y0, y1):
+    """im2col of output rows [y0, y1) by one slice copy per tap.
+
+    ``padded`` is the input zero-padded by the reach of the ky x kx taps.
+    """
+    cin = padded.shape[0]
+    width = padded.shape[2] - (kx - 1) * dilation
+    win = np.empty((cin, ky, kx, y1 - y0, width))
+    for ty in range(ky):
+        for tx in range(kx):
+            win[:, ty, tx] = padded[:, y0 + ty * dilation:y1 + ty * dilation,
+                                    tx * dilation:tx * dilation + width]
+    return win.reshape(cin * ky * kx, (y1 - y0) * width)
+
+
 def avg_smooth_reference(x, d):
     """Windowed mean with the window clipped to the image at the borders."""
     channels, height, width = x.shape

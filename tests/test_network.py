@@ -12,6 +12,7 @@ from icefusion.network import (
     GROUP_SCALE0,
     SAR_CHANNELS,
     ModelConfig,
+    _value_count,
     backward,
     build,
     forward,
@@ -89,6 +90,31 @@ def test_config_validation():
     wrong_order = {GROUP_BTEMP: 14, **{k: v for k, v in widths.items() if k != GROUP_BTEMP}}
     with pytest.raises(ConfigurationError):
         ModelConfig(variant="small", group_widths=wrong_order)
+    # Counts must be true integers: bools and floats are refused, not coerced.
+    for bad in (True, 8.5, 8.0, "8", None):
+        with pytest.raises(ConfigurationError):
+            ModelConfig.for_variant("small", mwr_factor=bad)
+        with pytest.raises(ConfigurationError):
+            ModelConfig.custom(2, 3, dilation_rates=(2, 4), mwr_channels=bad)
+        with pytest.raises(ConfigurationError):
+            ModelConfig.custom(bad, 3)
+        with pytest.raises(ConfigurationError):
+            ModelConfig.custom(2, 3, dilation_rates=(2, bad))
+    with pytest.raises(ConfigurationError):
+        ModelConfig(variant="custom", group_widths=[2, 2, 2, 2, 2, 14])
+    cfg = ModelConfig.custom(np.int64(2), 3, dilation_rates=(np.int32(2), 4), mwr_channels=2)
+    assert cfg.dilation_rates == (2, 4) and type(cfg.dilation_rates[0]) is int
+
+
+@pytest.mark.parametrize("config", [
+    ModelConfig.for_variant("small"),
+    ModelConfig.for_variant("large", mwr_factor=4),
+    ModelConfig.custom(3, 2, dilation_rates=(2, 3), mwr_channels=2),
+])
+def test_value_count_matches_the_built_network(config):
+    net = build(config, SeededRng(0))
+    stored = named_parameters(net) + named_state(net)
+    assert _value_count(config) == sum(value.size for _, value in stored)
 
 
 def test_config_dict_round_trip():

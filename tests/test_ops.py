@@ -36,6 +36,7 @@ from helpers import (
     conv2d_backward_input_reference,
     conv2d_reference,
     conv2d_single_gemm,
+    dilated_windows_reference,
     dropout_reference,
     upsample_reference,
 )
@@ -165,6 +166,54 @@ def test_conv2d_peak_memory_stays_well_below_one_window_matrix():
     finally:
         tracemalloc.stop()
     assert peak <= 0.5 * im2col_bytes, peak / im2col_bytes
+
+
+@pytest.mark.parametrize("grid", [(5, 4), (8, 8), (40, 37), (64, 64)])
+def test_dilated_windows_match_one_copy_per_tap_bitwise(grid):
+    height, width = grid
+    rng = np.random.default_rng(height * width)
+    inputs = {
+        "contiguous": rng.normal(size=(3, height, width)),
+        "one channel": rng.normal(size=(1, height, width)),
+        "strided": rng.normal(size=(3, height, 2 * width))[:, :, ::2],
+        "read-only": _read_only(rng.normal(size=(3, height, width)))[0],
+    }
+    bands = [(0, height), (0, 1), (1, min(4, height)), (height // 2, height)]
+    for name, x in inputs.items():
+        for dilation in range(1, 17):
+            kept = (ops._kept_taps(3, dilation, height), ops._kept_taps(3, dilation, width))
+            for rows, cols in (kept, (slice(0, 3), slice(0, 3))):
+                ky, kx = rows.stop - rows.start, cols.stop - cols.start
+                pad_y, pad_x = ky // 2 * dilation, kx // 2 * dilation
+                want_padded = np.pad(x, ((0, 0), (pad_y, pad_y), (pad_x, pad_x)))
+                padded = ops._padded(x, rows, cols, dilation)
+                npt.assert_array_equal(padded, want_padded)
+                for y0, y1 in bands:
+                    got = ops._dilated_windows(padded, ky, kx, dilation, y0, y1)
+                    npt.assert_array_equal(
+                        got, dilated_windows_reference(want_padded, ky, kx, dilation, y0, y1),
+                        err_msg=f"{name} d {dilation} taps {ky}x{kx} rows {y0}:{y1}")
+                    if ky * kx > 1:
+                        assert got.flags.c_contiguous
+                    else:  # one tap needs no padding and no copy of the input
+                        assert padded is x or not x.flags.c_contiguous
+                        assert np.shares_memory(got, padded)
+
+
+def test_conv2d_with_no_tap_in_reach_copies_nothing_of_its_input():
+    # With d 64 on 64x64 only the centre tap is kept: the window matrix is a
+    # view of the input itself, so the call holds little beyond its output.
+    rng = np.random.default_rng(64)
+    x = rng.normal(size=(28, 64, 64))
+    kernels = rng.normal(size=(28, 28, 3, 3))
+    bias = rng.normal(size=28)
+    tracemalloc.start()
+    try:
+        out = conv2d(x, kernels, bias, dilation=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * out.nbytes, peak / out.nbytes
 
 
 @pytest.mark.parametrize("dilation", [8, 16])
@@ -311,6 +360,23 @@ def test_avg_smooth_backward_matches_ones_image_counts_bitwise():
             npt.assert_array_equal(avg_smooth_backward(g, d),
                                    avg_smooth_backward_reference(g, d),
                                    err_msg=f"{height}x{width} d {d}")
+
+
+def test_avg_smooth_outputs_share_no_memory_with_the_cached_counts():
+    rng = np.random.default_rng(9)
+    x, g = rng.normal(size=(3, 9, 8)), rng.normal(size=(3, 9, 8))
+    outs = [avg_smooth(x, 4), avg_smooth(x, 4), avg_smooth_backward(g, 4),
+            avg_smooth_backward(g, 4)]
+    counts = ops._window_counts(9, 8, *ops._window_reach(4))
+    assert ops._window_counts(9, 8, *ops._window_reach(4)) is counts
+    assert not counts.flags.writeable
+    npt.assert_array_equal(outs[0], outs[1])
+    npt.assert_array_equal(outs[2], outs[3])
+    for i, out in enumerate(outs):
+        assert out.flags.writeable
+        assert not np.shares_memory(out, counts)
+        for other in outs[i + 1:]:
+            assert not np.shares_memory(out, other)
 
 
 def test_avg_smooth_validation():
@@ -483,7 +549,7 @@ def test_batch_norm_backward_needs_train_cache():
 
 
 @pytest.mark.parametrize("n", [1, 3])
-@pytest.mark.parametrize("grid", [(8, 8), (37, 29)])
+@pytest.mark.parametrize("grid", [(8, 8), (37, 29), (64, 64)])
 def test_batch_norm_moments_from_sums_match_np_mean_bitwise(n, grid):
     rng = np.random.default_rng(31)
     x = rng.normal(loc=0.7, scale=2.0, size=(n, 14) + grid)

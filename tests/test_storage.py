@@ -116,6 +116,47 @@ def test_checkpoint_with_removed_config_key_is_refused(tmp_path, capsys):
     assert code == 3 and err.startswith("E_FORMAT:") and err.count("\n") == 1
 
 
+def _widths_set(value):
+    return lambda cfg: cfg["group_widths"].update({"scale-2": value})
+
+
+@pytest.mark.parametrize("edit", [
+    _widths_set("abc"),
+    _widths_set(2.9),    # was truncated to 2 and loaded
+    _widths_set(True),
+    lambda cfg: cfg.update(dilation_rates=["x", 4]),
+    lambda cfg: cfg.update(dilation_rates=[2.0, 4]),
+    lambda cfg: cfg.update(mwr_factor=1.5),
+    lambda cfg: cfg.update(mwr_channels=True),
+    lambda cfg: cfg.update(variant="huge"),
+    lambda cfg: cfg.update(group_widths=[2, 2, 2, 2]),
+    lambda cfg: cfg.pop("dilation_rates"),
+])
+def test_malformed_checkpoint_configs_exit_3(tmp_path, capsys, edit):
+    path = tmp_path / "model.ckpt"
+    net = toy_net()
+    save_checkpoint(net, path)
+    config = net.config.to_dict()
+    edit(config)
+    rewrite_header(path, model_config=config)
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+    code = main(["analyze", "--ckpt", str(path), "--data", str(tmp_path),
+                 "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith("E_FORMAT:") and err.count("\n") == 1, err
+
+
+def test_checkpoint_config_beyond_its_payload_is_refused_before_building(tmp_path):
+    # A consistent config of 10**5-wide groups would allocate about 7 TB.
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(toy_net(), path)
+    wide = ModelConfig.custom(10**5, 10**5, dilation_rates=(2, 4), mwr_channels=10**5)
+    rewrite_header(path, model_config=wide.to_dict())
+    with pytest.raises(IntegrityError, match="needs"):
+        load_checkpoint(path)
+
+
 def test_container_array_records_are_validated(tmp_path):
     # Each rewritten header keeps its valid payload digest; only the array
     # table is malformed, and every variant must be a FormatError (exit 3).
@@ -169,6 +210,9 @@ def test_container_rejects_foreign_or_damaged_files(tmp_path):
     with pytest.raises(FormatError):
         load_checkpoint(junk)
     junk.write_bytes(b"{not json\n\x00\x01")
+    with pytest.raises(FormatError):
+        load_checkpoint(junk)
+    junk.write_bytes(b"[" * 100_000 + b"\n")  # nested past the parser's recursion limit
     with pytest.raises(FormatError):
         load_checkpoint(junk)
     with pytest.raises(FormatError):
@@ -359,6 +403,9 @@ def test_report_formats_and_refusals(tmp_path):
     bad.write_text("not json at all")
     with pytest.raises(FormatError):
         read_report(bad)
+    bad.write_text("[" * 100_000)
+    with pytest.raises(FormatError):
+        read_report(bad)
     write_report(ReportFile(report=report, provenance={}), path)
     doc = json.loads(path.read_text())
     bad.write_text(json.dumps(dict(doc, group_sums=[])))
@@ -374,6 +421,7 @@ def test_report_formats_and_refusals(tmp_path):
     ("ranking", [3, 0]),      # input 3 is dead
     ("top_ranking", [3]),
     ("top_ranking", ["x"]),
+    ("ranking", [float("inf")]),
 ])
 def test_report_indices_must_name_entries(tmp_path, field, indices):
     path = tmp_path / "report.json"

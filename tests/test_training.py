@@ -121,7 +121,7 @@ def test_sgd_zero_learning_rate_changes_nothing():
 
 def test_sgd_rejects_bad_input():
     net = tiny_net()
-    for rate in (-0.1, float("nan"), float("inf")):
+    for rate in (-0.1, float("nan"), float("inf"), True, False, "0.1"):
         with pytest.raises(ConfigurationError):
             sgd_step(net, zero_grads(net), rate)
     extra = dict(zero_grads(net), **{"stem.9.kernels": np.zeros(3)})
@@ -187,6 +187,14 @@ def test_train_config_validation():
             TrainConfig(learning_rate=0.1, epochs=1, batch_size=bad)
     cfg = TrainConfig(learning_rate=0.1, epochs=np.int64(2), batch_size=np.int32(3))
     assert (cfg.epochs, cfg.batch_size) == (2, 3)
+    # A bool is not a rate and a string is not a switch.
+    for rate in (True, np.True_, "0.1", None):
+        with pytest.raises(ConfigurationError):
+            TrainConfig(learning_rate=rate, epochs=1)
+    for shuffle in ("no", 0, None):
+        with pytest.raises(ConfigurationError):
+            TrainConfig(learning_rate=0.1, epochs=1, shuffle=shuffle)
+    assert not TrainConfig(learning_rate=np.float32(0.1), epochs=1, shuffle=np.False_).shuffle
 
 
 def test_train_zero_epochs_is_identity():
