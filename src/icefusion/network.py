@@ -125,7 +125,7 @@ class ModelConfig:
             raise ConfigurationError(
                 f"dilation rates must be strictly increasing and at least 2, got {rates}"
             )
-        if not 0.0 <= self.dropout_rate < 1.0:
+        if not (ops._is_real(self.dropout_rate) and 0.0 <= self.dropout_rate < 1.0):
             raise ConfigurationError(
                 f"dropout rate must lie in [0, 1), got {self.dropout_rate}"
             )
@@ -410,8 +410,8 @@ def forward(
             conv_inputs.append(x)
             x = ops.conv2d(x, branch.convs[2 * j + 1].kernels, branch.convs[2 * j + 1].bias,
                            dilation=branch.dilation)
-            mask = x > 0.0
-            relu_masks.append(mask)
+            if keep_cache:
+                relu_masks.append(x > 0.0)
             x = ops.relu(x)
             x, norm_cache = ops.batch_norm(x[None], branch.norms[j], mode=mode)
             x = x[0]

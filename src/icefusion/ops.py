@@ -16,6 +16,16 @@ contiguous matrix in a single C-level pass, so the GEMM stays on the BLAS
 path.  Kernel taps whose dilated offset reaches past the whole grid read only
 zero padding; ``conv2d`` leaves them out of the window matrix and the GEMM, and
 when no kept tap leaves the grid it pads and copies nothing.
+
+Geometry that depends only on shapes is worked out once and cached in bounded
+``functools.lru_cache`` tables, so a call on a shape seen before does only
+array work: the conv plan per (Cin, k, dilation, H, W) holds the kept taps,
+the row bands and the in-range tap rectangles ``conv2d_backward`` scatters
+through; the window counts of ``avg_smooth`` and the source rows, columns and
+blend weights of bilinear ``upsample`` are cached per grid.  Cached entries
+are immutable or read-only, and no public op returns one.  When one band
+covers the whole grid (8x8 and other small grids), ``conv2d`` is a single
+``weights @ windows`` GEMM with no output buffer to fill band by band.
 """
 from __future__ import annotations
 
@@ -60,6 +70,11 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """True for Python and numpy integers and floats, but not for bools."""
+    return isinstance(value, (float, np.floating)) or _is_int(value)
+
+
 # ---------------------------------------------------------------------------
 # Convolution
 
@@ -78,6 +93,45 @@ def _kept_taps(k: int, dilation: int, n: int) -> slice:
     center = (k - 1) // 2
     reach = min(center, (n - 1) // dilation)
     return slice(center - reach, center + reach + 1)
+
+
+def _tap_slices(offset: int, n: int) -> tuple[slice, slice]:
+    """Index ranges of u and y in [0, n) with u = y + offset, for |offset| < n."""
+    return slice(max(offset, 0), n + min(offset, 0)), slice(max(-offset, 0), n - max(offset, 0))
+
+
+@dataclass(frozen=True)
+class _ConvPlan:
+    """Geometry of one conv2d shape, worked out once per (cin, k, dilation, H, W).
+
+    ``rows`` and ``cols`` are the kept taps of each axis (see
+    :func:`_kept_taps`) and ``bands`` the [y0, y1) output-row ranges of the
+    im2col bands.  ``scatter`` lists, per kept tap (ty, tx) in tap order, the
+    rows and columns of the input gradient it adds to and of its spread map
+    it reads, as :func:`_tap_slices` gives them to :func:`conv2d_backward`.
+    """
+
+    rows: slice
+    cols: slice
+    ky: int
+    kx: int
+    bands: tuple[tuple[int, int], ...]
+    scatter: tuple[tuple[int, int, slice, slice, slice, slice], ...]
+
+
+@functools.lru_cache(maxsize=64)
+def _conv_plan(cin: int, k: int, dilation: int, height: int, width: int) -> _ConvPlan:
+    rows, cols = _kept_taps(k, dilation, height), _kept_taps(k, dilation, width)
+    ky, kx = rows.stop - rows.start, cols.stop - cols.start
+    band = max(1, _BAND_BYTES // (8 * cin * ky * kx * width))
+    bands = tuple((y0, min(y0 + band, height)) for y0 in range(0, height, band))
+    center = (k - 1) // 2
+    scatter = tuple(
+        (ty, tx, *_tap_slices((ty - center) * dilation, height),
+         *_tap_slices((tx - center) * dilation, width))
+        for ty in range(rows.start, rows.stop) for tx in range(cols.start, cols.stop)
+    )
+    return _ConvPlan(rows, cols, ky, kx, bands, scatter)
 
 
 def _padded(x: np.ndarray, rows: slice, cols: slice, dilation: int) -> np.ndarray:
@@ -157,26 +211,20 @@ def conv2d(x, kernels, bias, dilation: int = 1) -> np.ndarray:
     if bias.shape[0] != cout:
         raise DimensionError(f"bias has {bias.shape[0]} entries, expected {cout}")
     height, width = x.shape[1:]
-    rows, cols = _kept_taps(k, dilation, height), _kept_taps(k, dilation, width)
-    ky, kx = rows.stop - rows.start, cols.stop - cols.start
-    weights = kernels[:, :, rows, cols].reshape(cout, cin * ky * kx)
-    padded = _padded(x, rows, cols, dilation)
-    band = max(1, _BAND_BYTES // (8 * cin * ky * kx * width))
-    out = np.empty((cout, height * width))
-    for y0 in range(0, height, band):
-        y1 = min(y0 + band, height)
-        np.matmul(weights, _dilated_windows(padded, ky, kx, dilation, y0, y1),
-                  out=out[:, y0 * width:y1 * width])
+    plan = _conv_plan(cin, k, dilation, height, width)
+    ky, kx = plan.ky, plan.kx
+    weights = kernels[:, :, plan.rows, plan.cols].reshape(cout, cin * ky * kx)
+    padded = _padded(x, plan.rows, plan.cols, dilation)
+    if len(plan.bands) == 1:
+        out = weights @ _dilated_windows(padded, ky, kx, dilation, 0, height)
+    else:
+        out = np.empty((cout, height * width))
+        for y0, y1 in plan.bands:
+            np.matmul(weights, _dilated_windows(padded, ky, kx, dilation, y0, y1),
+                      out=out[:, y0 * width:y1 * width])
     out = out.reshape(cout, height, width)
     out += bias[:, None, None]
     return out
-
-
-def _tap_slices(offset: int, n: int) -> tuple[slice, slice] | None:
-    """Index ranges of u and y in [0, n) with u = y + offset; None if empty."""
-    if abs(offset) >= n:
-        return None
-    return slice(max(offset, 0), n + min(offset, 0)), slice(max(-offset, 0), n - max(offset, 0))
 
 
 def conv2d_backward(grad_out, x, kernels, dilation: int = 1):
@@ -211,17 +259,10 @@ def conv2d_backward(grad_out, x, kernels, dilation: int = 1):
     spread = (kernels.reshape(cout, cin * k * k).T @ g2).reshape(cin, k, k, height, width)
     # Each tap adds its in-range rectangle in tap order: every input pixel
     # gets the same sums as a scatter into a zero-padded buffer, without one.
-    center = (k - 1) // 2
-    rows = [_tap_slices((t - center) * dilation, height) for t in range(k)]
-    cols = [_tap_slices((t - center) * dilation, width) for t in range(k)]
     grad_x = np.zeros((cin, height, width))
-    for ty, row in enumerate(rows):
-        if row is None:
-            continue
-        for tx, col in enumerate(cols):
-            if col is None:
-                continue
-            grad_x[:, row[0], col[0]] += spread[:, ty, tx, row[1], col[1]]
+    for ty, tx, dst_rows, src_rows, dst_cols, src_cols in _conv_plan(
+            cin, k, dilation, height, width).scatter:
+        grad_x[:, dst_rows, dst_cols] += spread[:, ty, tx, src_rows, src_cols]
     return grad_x, grad_kernels, grad_bias
 
 
@@ -266,8 +307,8 @@ def _box_sum(x: np.ndarray, before: int, after: int) -> np.ndarray:
     table[:, :before + 1] = 0.0
     table[:, before + 1:, :before + 1] = 0.0
     core = table[:, before + 1:before + 1 + height, before + 1:before + 1 + width]
-    np.cumsum(x, axis=1, out=core)
-    np.cumsum(core, axis=2, out=core)
+    np.add.accumulate(x, axis=1, out=core)
+    np.add.accumulate(core, axis=2, out=core)
     table[:, before + 1:before + 1 + height, before + 1 + width:] = core[:, :, -1:]
     table[:, before + 1 + height:] = table[:, before + height:before + 1 + height]
     out = table[:, d:, d:] - table[:, :height, d:]
@@ -315,15 +356,22 @@ def avg_smooth_backward(grad_out, d: int) -> np.ndarray:
 # Upsampling
 
 
+@functools.lru_cache(maxsize=64)
 def _bilinear_axis(n: int, factor: int):
-    """Clamped source index pairs and fractions for one upsampled axis."""
+    """Clamped source index pairs and fractions for one upsampled axis.
+
+    Returns read-only ``(lo, hi, 1 - frac, frac)``, built once per geometry.
+    """
     pos = (np.arange(n * factor) + 0.5) / factor - 0.5
     pos = np.clip(pos, 0.0, float(n - 1))
     lo = np.floor(pos).astype(np.intp)
     lo = np.minimum(lo, n - 1)
     hi = np.minimum(lo + 1, n - 1)
     frac = pos - lo
-    return lo, hi, frac
+    axis = (lo, hi, 1.0 - frac, frac)
+    for arr in axis:
+        arr.flags.writeable = False
+    return axis
 
 
 def upsample(x, factor: int, mode: str = "nearest") -> np.ndarray:
@@ -332,6 +380,10 @@ def upsample(x, factor: int, mode: str = "nearest") -> np.ndarray:
     ``nearest`` replicates each coarse cell into a factor x factor block.
     ``bilinear`` interpolates between coarse-cell centers with edge clamping,
     so fine pixel (y, x) reads coarse position ((y+0.5)/factor - 0.5, ...).
+    It blends along x on the coarse rows, then gathers the two blended rows
+    under each fine row and blends along y: every pixel gets the same
+    products and sums as blending its four corners directly, in the same
+    order.
     """
     x = _as_float64(x, "input", 3)
     if not _is_int(factor) or factor < 1:
@@ -340,13 +392,16 @@ def upsample(x, factor: int, mode: str = "nearest") -> np.ndarray:
         return np.repeat(np.repeat(x, factor, axis=1), factor, axis=2)
     if mode == "bilinear":
         _, height, width = x.shape
-        ylo, yhi, fy = _bilinear_axis(height, factor)
-        xlo, xhi, fx = _bilinear_axis(width, factor)
-        wy = fy[None, :, None]
-        wx = fx[None, None, :]
-        top = (1.0 - wx) * x[:, ylo][:, :, xlo] + wx * x[:, ylo][:, :, xhi]
-        bottom = (1.0 - wx) * x[:, yhi][:, :, xlo] + wx * x[:, yhi][:, :, xhi]
-        return (1.0 - wy) * top + wy * bottom
+        ylo, yhi, gy, fy = _bilinear_axis(height, factor)
+        xlo, xhi, gx, fx = _bilinear_axis(width, factor)
+        rows = gx * x[:, :, xlo]
+        rows += fx * x[:, :, xhi]
+        top = rows[:, ylo]
+        top *= gy[:, None]
+        bottom = rows[:, yhi]
+        bottom *= fy[:, None]
+        top += bottom
+        return top
     raise ConfigurationError(f"unknown upsample mode {mode!r}")
 
 

@@ -21,6 +21,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .errors import ConfigurationError, DimensionError
+from .ops import _is_int, _is_real
 from .rng import SeededRng
 
 __all__ = ["SceneConfig", "Scene", "generate", "ice_fraction_coarse"]
@@ -50,6 +51,15 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("height", "width", "mwr_factor", "mwr_channels", "seed"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        for name in ("sar_ambiguity", "mwr_noise", "mwr_informative_fraction", "blob_scale",
+                     "edge_amplitude"):
+            value = getattr(self, name)
+            if not _is_real(value):
+                raise ConfigurationError(f"{name} must be a number, got {value!r}")
         if self.height < 1 or self.width < 1:
             raise ConfigurationError("the grid must have positive size")
         if self.mwr_factor < 1:

@@ -33,6 +33,7 @@ from .errors import (
 )
 from .importance import AnalysisReport, ComparisonReport, ZScoreEntry, ranked_groups
 from .network import (
+    SAR_CHANNELS,
     FusionNetwork,
     ModelConfig,
     _value_count,
@@ -40,6 +41,7 @@ from .network import (
     named_parameters,
     named_state,
 )
+from .ops import _is_int
 from .rng import SeededRng
 from .scenes import Scene, SceneConfig
 from .training import NATIVE_GRID
@@ -285,6 +287,13 @@ def load_scene(path) -> tuple[Scene, SceneConfig]:
         scene = Scene(sar=arrays["sar"], mwr=arrays["mwr"], label=arrays["label"])
     except (KeyError, TypeError, ConfigurationError) as exc:
         raise FormatError(f"scene file is incomplete: {exc}") from exc
+    height, width, f = cfg.height, cfg.width, cfg.mwr_factor
+    for name, shape in (("sar", (SAR_CHANNELS, height, width)),
+                        ("mwr", (cfg.mwr_channels, height // f, width // f)),
+                        ("label", (1, height, width))):
+        if arrays[name].shape != shape:
+            raise FormatError(f"scene {path}: {name} has shape {arrays[name].shape}, "
+                              f"its config needs {shape}")
     return scene, cfg
 
 
@@ -357,9 +366,16 @@ class ReportFile:
     tool_version: str = __version__
 
 
+def _index(value) -> int:
+    """A report's input index: a JSON integer, never a bool, float or string."""
+    if not _is_int(value):
+        raise TypeError(f"input index {value!r} is not an integer")
+    return value
+
+
 def _entry_from_json(data: dict) -> ZScoreEntry:
     return ZScoreEntry(
-        input_index=int(data["input_index"]),
+        input_index=_index(data["input_index"]),
         group=str(data["group"]),
         coefficient=float(data["coefficient"]),
         sigma=float(data["sigma"]),
@@ -445,10 +461,10 @@ def read_report(path) -> ReportFile:
             entries=entries,
             # canonical JSON sorts the keys; restore group order from the entries
             group_sums={e.group: sums[e.group] for e in entries},
-            ranking=tuple(int(i) for i in doc["ranking"]),
-            dead_nodes=tuple(int(i) for i in doc["dead_nodes"]),
+            ranking=tuple(map(_index, doc["ranking"])),
+            dead_nodes=tuple(map(_index, doc["dead_nodes"])),
         )
-        top_ranking = tuple(int(i) for i in doc.get("top_ranking", []))
+        top_ranking = tuple(map(_index, doc.get("top_ranking", [])))
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"report {path} is incomplete: {exc}") from exc
     live = {e.input_index for e in entries if not e.dead}

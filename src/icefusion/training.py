@@ -17,7 +17,7 @@ from .network import (
     forward,
     named_parameters,
 )
-from .ops import _is_int
+from .ops import _is_int, _is_real
 from .rng import SeededRng
 
 __all__ = [
@@ -37,11 +37,6 @@ UPSAMPLED_GRID = "upsampled-grid"
 # Stream ids under the training seed.
 _STREAM_SHUFFLE = 4
 _STREAM_STEP = 5
-
-
-def _is_real(value) -> bool:
-    """True for Python and numpy integers and floats, but not for bools."""
-    return isinstance(value, (float, np.floating)) or _is_int(value)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Command line surface: pipeline wiring, exit codes, warnings, file outputs."""
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,11 @@ from icefusion.rng import SeededRng
 from icefusion.storage import (
     ReportFile,
     groups_csv_path,
+    load_scene,
     read_manifest,
     read_report,
     save_checkpoint,
+    save_scene,
     sha256_file,
     write_manifest,
     write_report,
@@ -247,6 +250,16 @@ def test_malformed_files_exit_3(pipeline, capsys, tmp_path):
                  ["compare", "--small", good, "--large", str(stray_rank)]):
         code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
         assert code == 3 and err.startswith("E_FORMAT:") and err.count("\n") == 1
+
+    # a sealed scene whose sar lacks a channel its config promises
+    scene, cfg = load_scene(pipeline["data"] / "scene-0000.scene")
+    one_channel = tmp_path / "one-channel"
+    one_channel.mkdir()
+    save_scene(replace(scene, sar=scene.sar[:1]), cfg, one_channel / "scene-0000.scene")
+    write_manifest(one_channel, ["scene-0000.scene"], generator={}, master_seed=0)
+    code, _, err = run(capsys, "train", "--data", str(one_channel), "--variant", "small",
+                       "--out", str(tmp_path / "m.ckpt"))
+    assert code == 3 and err.startswith("E_FORMAT:") and err.count("\n") == 1
 
     # a checkpoint with a valid digest whose array table is malformed
     bad_ckpt = tmp_path / "bad.ckpt"

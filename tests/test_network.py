@@ -74,6 +74,9 @@ def test_config_validation():
         ModelConfig.for_variant("small", dilation_rates=(1, 2))
     with pytest.raises(ConfigurationError):
         ModelConfig.for_variant("small", dropout_rate=1.0)
+    for bad in (False, True, "0.1", None):
+        with pytest.raises(ConfigurationError):
+            ModelConfig.for_variant("small", dropout_rate=bad)
     with pytest.raises(ConfigurationError):
         ModelConfig.for_variant("small", mixing_activation="tanh")
     with pytest.raises(ConfigurationError):

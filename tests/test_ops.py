@@ -153,6 +153,70 @@ def test_conv2d_bands_agree_with_one_whole_image_gemm_on_floats():
                             err_msg=f"dilation {dilation}")
 
 
+@pytest.mark.parametrize("cin", [2, 14])
+def test_conv2d_one_band_grid_is_one_gemm_on_integers(cin):
+    # An 8x8 grid fits one band whatever the dilation: conv2d is one GEMM
+    # over the kept taps, equal to one over every tap on integer inputs.
+    rng = np.random.default_rng(cin)
+    for dilation in range(1, 17):
+        assert len(ops._conv_plan(cin, 3, dilation, 8, 8).bands) == 1
+        x = rng.integers(-4, 5, size=(cin, 8, 8)).astype(float)
+        kernels = rng.integers(-3, 4, size=(cin, cin, 3, 3)).astype(float)
+        bias = rng.integers(-3, 4, size=cin).astype(float)
+        npt.assert_array_equal(conv2d(x, kernels, bias, dilation=dilation),
+                               conv2d_single_gemm(x, kernels, bias, dilation),
+                               err_msg=f"dilation {dilation}")
+
+
+def test_conv_geometry_is_worked_out_once_per_shape(monkeypatch):
+    calls = []
+    kept_taps = ops._kept_taps
+
+    def counting(*args):
+        calls.append(args)
+        return kept_taps(*args)
+
+    monkeypatch.setattr(ops, "_kept_taps", counting)
+    ops._conv_plan.cache_clear()
+    rng = np.random.default_rng(11)
+    x, g = rng.normal(size=(3, 11, 13)), rng.normal(size=(4, 11, 13))
+    kernels, bias = rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4)
+    first = conv2d(x, kernels, bias, dilation=3)
+    assert len(calls) == 2  # one per axis
+    npt.assert_array_equal(conv2d(x, kernels, bias, dilation=3), first)
+    conv2d_backward(g, x, kernels, dilation=3)
+    assert len(calls) == 2
+    conv2d(x, kernels, bias, dilation=4)
+    assert len(calls) == 4
+
+
+def test_geometry_caches_are_immutable_and_never_handed_out():
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(3, 8, 8))
+    kernels, bias = rng.normal(size=(3, 3, 3, 3)), rng.normal(size=3)
+    conv2d(x, kernels, bias, dilation=2)
+    plan = ops._conv_plan(3, 3, 2, 8, 8)
+    assert ops._conv_plan(3, 3, 2, 8, 8) is plan
+    with pytest.raises(AttributeError):
+        plan.bands = ()
+    assert isinstance(plan.bands, tuple) and isinstance(plan.scatter, tuple)
+    assert all(isinstance(tap, tuple) for tap in plan.bands + plan.scatter)
+
+    coarse = rng.normal(size=(2, 2, 3))
+    outs = [upsample(coarse, 4, "bilinear") for _ in range(2)]
+    axes = ops._bilinear_axis(2, 4) + ops._bilinear_axis(3, 4)
+    assert ops._bilinear_axis(2, 4) is ops._bilinear_axis(2, 4)
+    for arr in axes:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    npt.assert_array_equal(outs[0], outs[1])
+    for out in outs:
+        assert out.flags.writeable
+        assert not any(np.shares_memory(out, arr) for arr in axes)
+    assert not np.shares_memory(outs[0], outs[1])
+
+
 def test_conv2d_peak_memory_stays_well_below_one_window_matrix():
     rng = np.random.default_rng(128)
     x = rng.normal(size=(28, 128, 128))
@@ -428,6 +492,16 @@ def test_upsample_matches_per_pixel_oracle(mode):
         x = rng.integers(-9, 10, (2, 6, 6)).astype(np.float64)
         got = upsample(x, factor, mode)
         npt.assert_array_equal(got, upsample_reference(x, factor, mode))
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (2, 3, 5), (2, 8, 8)])
+@pytest.mark.parametrize("factor", [4, 8])
+def test_upsample_bilinear_matches_per_pixel_oracle_bitwise_on_floats(shape, factor):
+    # Blending on the coarse rows gives each pixel the products and sums of
+    # its four corners in the oracle's order, so float outputs agree exactly.
+    x = np.random.default_rng(factor * shape[1] + shape[2]).normal(size=shape)
+    npt.assert_array_equal(upsample(x, factor, "bilinear"),
+                           upsample_reference(x, factor, "bilinear"))
 
 
 def test_upsample_nearest_preserves_population_variance_exactly():

@@ -101,6 +101,21 @@ def test_config_validation():
         SceneConfig(blob_scale=0.0)
     with pytest.raises(ConfigurationError):
         SceneConfig(edge_amplitude=-1.0)
+    # Counts are true integers and dials true numbers: bools are refused.
+    with pytest.raises(ConfigurationError):
+        SceneConfig(height=True, width=True, mwr_factor=True)
+    for name in ("height", "width", "mwr_factor", "mwr_channels", "seed"):
+        for bad in (True, 16.0, "16", None):
+            with pytest.raises(ConfigurationError):
+                SceneConfig(**{name: bad})
+    for name in ("sar_ambiguity", "mwr_noise", "mwr_informative_fraction", "blob_scale",
+                 "edge_amplitude"):
+        for bad in (True, False, "0.5", None):
+            with pytest.raises(ConfigurationError):
+                SceneConfig(**{name: bad})
+    cfg = SceneConfig(height=np.int64(32), width=32, mwr_factor=np.int32(8), mwr_noise=0,
+                      sar_ambiguity=np.float32(0.5))
+    assert cfg.height == 32 and cfg.mwr_noise == 0
 
 
 # ---------------------------------------------------------------------------

@@ -422,12 +422,25 @@ def test_report_formats_and_refusals(tmp_path):
     ("top_ranking", [3]),
     ("top_ranking", ["x"]),
     ("ranking", [float("inf")]),
+    # Indices are JSON integers: a float, string or bool naming a live or
+    # dead input is refused, not truncated to it.
+    ("ranking", [5, 2, 1, 0, 4.0]),
+    ("ranking", [5, 2, 1.2]),
+    ("top_ranking", ["5"]),
+    ("top_ranking", [True]),
+    ("dead_nodes", [3.0]),
+    ("input_index", 1.9),
+    ("input_index", "1"),
 ])
 def test_report_indices_must_name_entries(tmp_path, field, indices):
     path = tmp_path / "report.json"
     write_report(ReportFile(report=hand_report(dead_index=3), provenance={}), path)
     doc = json.loads(path.read_text())
-    path.write_text(json.dumps(dict(doc, **{field: indices})))
+    if field == "input_index":
+        doc["entries"][1]["input_index"] = indices
+    else:
+        doc[field] = indices
+    path.write_text(json.dumps(doc))
     with pytest.raises(FormatError):
         read_report(path)
 
