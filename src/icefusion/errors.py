@@ -3,7 +3,13 @@
 Every error carries a short machine-parsable ``code`` and the process exit
 status the CLI maps it to: 2 for usage problems, 3 for bad data or files,
 4 for provenance violations.
+
+``_is_int`` and ``_is_real`` are the package's one definition of an integer
+and of a (finite) real number argument.
 """
+import math
+
+import numpy as np
 
 
 class IceFusionError(Exception):
@@ -73,3 +79,13 @@ class ProvenanceError(IceFusionError):
 
     exit_code = 4
     code = "E_PROVENANCE"
+
+
+def _is_int(value) -> bool:
+    """True for Python and numpy integers, but not for bools."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """True for Python and numpy integers and finite floats, but not for bools."""
+    return _is_int(value) or (isinstance(value, (float, np.floating)) and math.isfinite(value))

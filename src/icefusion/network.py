@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import ops
-from .errors import ConfigurationError, DimensionError, UsageError
+from .errors import ConfigurationError, DimensionError, UsageError, _is_int, _is_real
 from .rng import SeededRng
 
 __all__ = [
@@ -113,7 +113,7 @@ class ModelConfig:
 
     def __post_init__(self):
         rates = self.dilation_rates
-        if not isinstance(rates, (tuple, list)) or not all(map(ops._is_int, rates)):
+        if not isinstance(rates, (tuple, list)) or not all(map(_is_int, rates)):
             raise ConfigurationError(f"dilation rates must be integers, got {rates!r}")
         rates = tuple(int(d) for d in rates)
         object.__setattr__(self, "dilation_rates", rates)
@@ -125,7 +125,7 @@ class ModelConfig:
             raise ConfigurationError(
                 f"dilation rates must be strictly increasing and at least 2, got {rates}"
             )
-        if not (ops._is_real(self.dropout_rate) and 0.0 <= self.dropout_rate < 1.0):
+        if not (_is_real(self.dropout_rate) and 0.0 <= self.dropout_rate < 1.0):
             raise ConfigurationError(
                 f"dropout rate must lie in [0, 1), got {self.dropout_rate}"
             )
@@ -137,7 +137,7 @@ class ModelConfig:
             raise ConfigurationError(
                 f"upsample mode must be 'nearest' or 'bilinear', got {self.upsample_mode!r}"
             )
-        if not all(ops._is_int(n) and n >= 1 for n in (self.mwr_channels, self.mwr_factor)):
+        if not all(_is_int(n) and n >= 1 for n in (self.mwr_channels, self.mwr_factor)):
             raise ConfigurationError(
                 "the mwr channel count and grid factor must be positive integers, "
                 f"got {self.mwr_channels!r} and {self.mwr_factor!r}"
@@ -150,7 +150,7 @@ class ModelConfig:
             raise ConfigurationError(
                 f"group widths must name {expected} in order, got {list(self.group_widths)}"
             )
-        if not all(ops._is_int(w) and w >= 1 for w in self.group_widths.values()):
+        if not all(_is_int(w) and w >= 1 for w in self.group_widths.values()):
             raise ConfigurationError(
                 f"every group width must be a positive integer, got {self.group_widths}"
             )
@@ -413,8 +413,7 @@ def forward(
             if keep_cache:
                 relu_masks.append(x > 0.0)
             x = ops.relu(x)
-            x, norm_cache = ops.batch_norm(x[None], branch.norms[j], mode=mode)
-            x = x[0]
+            x, norm_cache = ops.batch_norm(x, branch.norms[j], mode=mode)
             norm_caches.append(norm_cache)
             site_rng = rng.derive(_STREAM_DROPOUT, b, j) if rng is not None else None
             x, scale = ops.dropout(x, cfg.dropout_rate, site_rng, mode=mode)
@@ -450,12 +449,14 @@ def forward(
     return ForwardPass(prob=prob, mixing_inputs=mixing_inputs, cache=cache)
 
 
-def backward(net: FusionNetwork, cache: _Cache, grad_prob) -> dict[str, np.ndarray]:
+def backward(net: FusionNetwork, cache: _Cache, grad_logit) -> dict[str, np.ndarray]:
     """Hand-derived gradients of every parameter for one train-mode forward.
 
-    ``grad_prob`` is the upstream gradient with respect to the returned
-    probability map.  The result maps parameter names (as produced by
-    :func:`named_parameters`) to arrays of matching shape.
+    ``grad_logit`` is the upstream gradient with respect to the logit map
+    behind the returned probability, shaped like it ([1, H, W]), as
+    :func:`~icefusion.training.bce_loss` returns it.  The result maps
+    parameter names (as produced by :func:`named_parameters`) to arrays of
+    matching shape.
     """
     if cache is None:
         raise UsageError("backward needs the cache of a train-mode forward")
@@ -463,15 +464,12 @@ def backward(net: FusionNetwork, cache: _Cache, grad_prob) -> dict[str, np.ndarr
         raise UsageError("backward requires a train-mode cache")
     if cache.net is not net or cache.net_version != net.version:
         raise UsageError("stale cache: the network changed since this forward ran")
-    grad_prob = np.asarray(grad_prob, dtype=np.float64)
-    if grad_prob.shape != cache.prob.shape:
+    grad_logit = np.asarray(grad_logit, dtype=np.float64)
+    if grad_logit.shape != cache.prob.shape:
         raise DimensionError(
-            f"grad_prob shape {grad_prob.shape} does not match prob {cache.prob.shape}"
+            f"grad_logit shape {grad_logit.shape} does not match prob {cache.prob.shape}"
         )
-
-    cfg = net.config
-    p = cache.prob[0]
-    grad_logit = grad_prob[0] * p * (1.0 - p)
+    grad_logit = grad_logit[0]
 
     grads: dict[str, np.ndarray] = {}
     grads["mixing.bias"] = np.array(grad_logit.sum())
@@ -492,9 +490,7 @@ def backward(net: FusionNetwork, cache: _Cache, grad_prob) -> dict[str, np.ndarr
         for j in reversed(range(len(branch.norms))):
             if bc.drop_scales[j] is not None:
                 g = g * bc.drop_scales[j]
-            g4, d_gamma, d_beta = ops.batch_norm_backward(g[None], bc.norm_caches[j],
-                                                          branch.norms[j])
-            g = g4[0]
+            g, d_gamma, d_beta = ops.batch_norm_backward(g, bc.norm_caches[j], branch.norms[j])
             grads[f"branch.{branch.dilation}.norm{j}.gamma"] = d_gamma
             grads[f"branch.{branch.dilation}.norm{j}.beta"] = d_beta
             g = g * bc.relu_masks[j]

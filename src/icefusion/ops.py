@@ -1,11 +1,11 @@
 """Array numerics underneath the fusion network.
 
-All functions take and return float64 numpy arrays in channel-first layout
-([C, H, W], batch normalization uses [N, C, H, W]).  They never write to
-their inputs.  ``batch_norm`` updates the running statistics on its state
-object in train mode.  ``dropout`` keeps a bounded memo of its last keep-scales,
-so a repeated stream replays its masks without redrawing them, and returns
-each keep-scale read-only.  Each backward companion is the exact chain-rule
+All functions take and return float64 numpy arrays in one channel-first
+layout, a single scene's [C, H, W].  They never write to their inputs.
+``batch_norm`` updates the running statistics on its state object in train
+mode.  ``dropout`` keeps a bounded memo of its last keep-scales, so a
+repeated stream replays its masks without redrawing them, and returns each
+keep-scale read-only.  Each backward companion is the exact chain-rule
 transpose of its forward map, which the finite-difference suite verifies.
 
 ``conv2d`` builds its im2col window matrix one band of whole output rows at a
@@ -40,6 +40,8 @@ from .errors import (
     DegenerateStatisticsError,
     DimensionError,
     UsageError,
+    _is_int,
+    _is_real,
 )
 from .rng import SeededRng
 
@@ -63,16 +65,6 @@ def _as_float64(x, name: str, ndim: int) -> np.ndarray:
     if arr.ndim != ndim:
         raise DimensionError(f"{name} must have {ndim} dimensions, got shape {arr.shape}")
     return arr
-
-
-def _is_int(value) -> bool:
-    """True for Python and numpy integers, but not for bools."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    """True for Python and numpy integers and floats, but not for bools."""
-    return isinstance(value, (float, np.floating)) or _is_int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -409,32 +401,32 @@ def upsample(x, factor: int, mode: str = "nearest") -> np.ndarray:
 # Batch normalization
 
 
+_NORM_EPSILON = 1e-5
+_NORM_MOMENTUM = 0.9
+
+
 @dataclass
 class NormState:
-    """Learnable scale/shift plus running statistics for one normalization."""
+    """Learnable scale/shift plus running statistics for one normalization.
+
+    Every normalization shares one variance floor (1e-5) and one EMA
+    momentum for its running statistics (0.9).
+    """
 
     gamma: np.ndarray
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    epsilon: float = 1e-5
-    momentum: float = 0.9
 
     @classmethod
-    def initial(cls, channels: int, epsilon: float = 1e-5, momentum: float = 0.9) -> "NormState":
-        if channels < 1:
-            raise ConfigurationError(f"channel count must be positive, got {channels}")
-        if epsilon <= 0:
-            raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigurationError(f"momentum must lie in [0, 1), got {momentum}")
+    def initial(cls, channels: int) -> "NormState":
+        if not _is_int(channels) or channels < 1:
+            raise ConfigurationError(f"channel count must be a positive integer, got {channels!r}")
         return cls(
             gamma=np.ones(channels),
             beta=np.zeros(channels),
             running_mean=np.zeros(channels),
             running_var=np.ones(channels),
-            epsilon=epsilon,
-            momentum=momentum,
         )
 
     @property
@@ -443,81 +435,80 @@ class NormState:
 
 
 def batch_norm(x, state: NormState, mode: str = "train"):
-    """Normalize [N, C, H, W] per channel and apply the learned scale/shift.
+    """Normalize one scene's [C, H, W] per channel and apply the learned scale/shift.
 
-    Train mode normalizes with the batch's own mean and population variance
-    and folds them into the running statistics (EMA with the state's
-    momentum); eval mode normalizes with the stored running statistics.
-    Returns ``(output, cache)`` where the cache backs
-    :func:`batch_norm_backward` and is None in eval mode.
+    Train mode normalizes with the scene's own per-channel mean and
+    population variance over its H x W pixels and folds them into the
+    running statistics (EMA, momentum 0.9); eval mode normalizes with the
+    stored running statistics.  Returns ``(output, cache)`` where the cache
+    backs :func:`batch_norm_backward` and is None in eval mode.
     """
-    x = _as_float64(x, "input", 4)
-    if x.shape[1] != state.channels:
+    x = _as_float64(x, "input", 3)
+    if x.shape[0] != state.channels:
         raise DimensionError(
-            f"input has {x.shape[1]} channels but the state tracks {state.channels}"
+            f"input has {x.shape[0]} channels but the state tracks {state.channels}"
         )
     if mode == "train":
-        n, _, height, width = x.shape
-        if n * height * width < 2:
+        count = x.shape[1] * x.shape[2]
+        if count < 2:
             raise DegenerateStatisticsError(
                 "train-mode normalization needs at least 2 values per channel"
             )
         # Sums over a count are what np.mean computes, bit for bit, without
         # its Python-level wrapper.
-        count = n * height * width
-        mean = x.sum(axis=(0, 2, 3)) / count
-        xhat = x - mean[None, :, None, None]
+        mean = x.sum(axis=(1, 2)) / count
+        xhat = x - mean[:, None, None]
         out = xhat * xhat
-        var = out.sum(axis=(0, 2, 3)) / count
-        inv_std = 1.0 / np.sqrt(var + state.epsilon)
-        xhat *= inv_std[None, :, None, None]
-        m = state.momentum
+        var = out.sum(axis=(1, 2)) / count
+        inv_std = 1.0 / np.sqrt(var + _NORM_EPSILON)
+        xhat *= inv_std[:, None, None]
+        m = _NORM_MOMENTUM
         state.running_mean = m * state.running_mean + (1.0 - m) * mean
         state.running_var = m * state.running_var + (1.0 - m) * var
         # The squares are spent: their buffer takes the output.
-        np.multiply(state.gamma[None, :, None, None], xhat, out=out)
+        np.multiply(state.gamma[:, None, None], xhat, out=out)
         cache = (xhat, inv_std)
     elif mode == "eval":
-        inv_std = 1.0 / np.sqrt(state.running_var + state.epsilon)
-        out = x - state.running_mean[None, :, None, None]
-        out *= inv_std[None, :, None, None]
-        out *= state.gamma[None, :, None, None]
+        inv_std = 1.0 / np.sqrt(state.running_var + _NORM_EPSILON)
+        out = x - state.running_mean[:, None, None]
+        out *= inv_std[:, None, None]
+        out *= state.gamma[:, None, None]
         cache = None
     else:
         raise UsageError(f"mode must be 'train' or 'eval', got {mode!r}")
-    out += state.beta[None, :, None, None]
+    out += state.beta[:, None, None]
     return out, cache
 
 
 def batch_norm_backward(grad_out, cache, state: NormState):
     """Gradients of train-mode :func:`batch_norm`.
 
-    Returns ``(grad_x, grad_gamma, grad_beta)``.  The input gradient folds in
-    the dependence of the batch statistics on the input itself.
+    ``grad_out`` is [C, H, W] like the forward's input.  Returns
+    ``(grad_x, grad_gamma, grad_beta)``.  The input gradient folds in the
+    dependence of the per-channel statistics on the input itself.
     """
     if cache is None:
         raise UsageError("batch_norm_backward needs the cache from a train-mode call")
-    grad_out = _as_float64(grad_out, "grad_out", 4)
+    grad_out = _as_float64(grad_out, "grad_out", 3)
     xhat, inv_std = cache
     if grad_out.shape != xhat.shape:
         raise DimensionError(
-            f"grad_out shape {grad_out.shape} does not match the cached batch {xhat.shape}"
+            f"grad_out shape {grad_out.shape} does not match the cached input {xhat.shape}"
         )
     # One scratch buffer takes grad_out*xhat, then gh*xhat, then
     # xhat*mean_gh_xhat; gh becomes grad_x in place.  Same ops, same order.
     scratch = grad_out * xhat
-    grad_gamma = scratch.sum(axis=(0, 2, 3))
-    grad_beta = grad_out.sum(axis=(0, 2, 3))
-    n, _, height, width = xhat.shape
-    count = n * height * width
-    gh = grad_out * state.gamma[None, :, None, None]
-    mean_gh = gh.sum(axis=(0, 2, 3), keepdims=True) / count
+    grad_gamma = scratch.sum(axis=(1, 2))
+    grad_beta = grad_out.sum(axis=(1, 2))
+    count = xhat.shape[1] * xhat.shape[2]
+    gh = grad_out * state.gamma[:, None, None]
+    mean_gh = gh.sum(axis=(1, 2), keepdims=True) / count
     np.multiply(gh, xhat, out=scratch)
-    mean_gh_xhat = scratch.sum(axis=(0, 2, 3), keepdims=True) / count
+    mean_gh_xhat = scratch.sum(axis=(1, 2), keepdims=True) / count
     np.multiply(xhat, mean_gh_xhat, out=scratch)
     gh -= mean_gh
     gh -= scratch
-    gh *= inv_std[None, :, None, None]
+    gh *= inv_std[:, None, None]
     return gh, grad_gamma, grad_beta
 
 
@@ -562,8 +553,8 @@ def dropout(x, rate: float, rng: SeededRng | None, mode: str = "train"):
     are memoized, and an eval-mode call empties the memo.
     """
     x = np.asarray(x, dtype=np.float64)
-    if not 0.0 <= rate < 1.0:
-        raise ConfigurationError(f"dropout rate must lie in [0, 1), got {rate}")
+    if not (_is_real(rate) and 0.0 <= rate < 1.0):
+        raise ConfigurationError(f"dropout rate must lie in [0, 1), got {rate!r}")
     if mode == "eval":
         _KEEP_SCALES.clear()
     if mode == "eval" or rate == 0.0:

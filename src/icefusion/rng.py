@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _is_int
 
 _MAX_SEED = 2**64
 
@@ -30,12 +30,12 @@ class SeededRng:
     path: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < _MAX_SEED:
+        if not _is_int(self.seed) or not 0 <= self.seed < _MAX_SEED:
             raise ConfigurationError(
                 f"seed must be an integer in [0, 2**64), got {self.seed!r}"
             )
         for part in self.path:
-            if not isinstance(part, (int, np.integer)) or part < 0:
+            if not _is_int(part) or part < 0:
                 raise ConfigurationError(
                     f"stream path entries must be non-negative integers, got {part!r}"
                 )

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .errors import ConfigurationError, DimensionError
-from .ops import _is_int, _is_real
+from .errors import ConfigurationError, DimensionError, _is_int, _is_real
 from .rng import SeededRng
 
 __all__ = ["SceneConfig", "Scene", "generate", "ice_fraction_coarse"]
@@ -100,8 +99,8 @@ def ice_fraction_coarse(label, factor: int) -> np.ndarray:
     label = np.asarray(label, dtype=np.float64)
     if label.ndim != 3:
         raise DimensionError(f"label must be [C, H, W], got shape {label.shape}")
-    if factor < 1:
-        raise ConfigurationError(f"factor must be positive, got {factor}")
+    if not _is_int(factor) or factor < 1:
+        raise ConfigurationError(f"factor must be a positive integer, got {factor!r}")
     channels, height, width = label.shape
     if height % factor or width % factor:
         raise ConfigurationError(

@@ -30,6 +30,7 @@ from .errors import (
     ProvenanceError,
     UnsupportedVersionError,
     UsageError,
+    _is_int,
 )
 from .importance import AnalysisReport, ComparisonReport, ZScoreEntry, ranked_groups
 from .network import (
@@ -41,7 +42,6 @@ from .network import (
     named_parameters,
     named_state,
 )
-from .ops import _is_int
 from .rng import SeededRng
 from .scenes import Scene, SceneConfig
 from .training import NATIVE_GRID
@@ -211,17 +211,13 @@ def _read_container(path, schema: str) -> tuple[dict, dict[str, np.ndarray]]:
     return header, arrays
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
 def _check_array_record(record, path) -> None:
     """Refuse an array record that is not {name: str, shape: [count...], offset: count}."""
     if not (isinstance(record, dict)
             and isinstance(record.get("name"), str)
             and isinstance(record.get("shape"), list)
-            and all(_is_count(n) for n in record["shape"])
-            and _is_count(record.get("offset"))):
+            and all(_is_int(n) and n >= 0 for n in record["shape"])
+            and _is_int(record.get("offset")) and record["offset"] >= 0):
         raise FormatError(f"{path} header holds a malformed array record {record!r}")
 
 

@@ -10,14 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, DimensionError, UsageError
+from .errors import ConfigurationError, DataError, DimensionError, UsageError, _is_int, _is_real
 from .network import (
     FusionNetwork,
     backward,
     forward,
     named_parameters,
 )
-from .ops import _is_int, _is_real
 from .rng import SeededRng
 
 __all__ = [
@@ -48,8 +47,7 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
-        if not (_is_real(self.learning_rate) and np.isfinite(self.learning_rate)
-                and self.learning_rate > 0.0):
+        if not (_is_real(self.learning_rate) and self.learning_rate > 0.0):
             raise ConfigurationError(
                 f"learning rate must be positive and finite, got {self.learning_rate}"
             )
@@ -61,6 +59,7 @@ class TrainConfig:
             raise ConfigurationError(
                 f"batch size must be an integer of at least 1, got {self.batch_size!r}"
             )
+        SeededRng(self.seed)  # refuses any seed that names no stream
         if not isinstance(self.shuffle, (bool, np.bool_)):
             raise ConfigurationError(f"shuffle must be a bool, got {self.shuffle!r}")
 
@@ -69,8 +68,9 @@ def bce_loss(prob, label) -> tuple[float, np.ndarray]:
     """Mean binary cross entropy over all pixels, plus its gradient.
 
     ``prob`` must lie strictly inside (0, 1) and ``label`` must be binary.
-    The returned gradient is with respect to ``prob``; chained through the
-    logistic function it collapses to the stable (p - y) / N form.
+    The returned gradient is with respect to the logit behind ``prob``,
+    (p - y) / N, which stays finite however saturated the logit is; it is
+    what :func:`~icefusion.network.backward` takes.
     """
     prob = np.asarray(prob, dtype=np.float64)
     label = np.asarray(label, dtype=np.float64)
@@ -80,10 +80,8 @@ def bce_loss(prob, label) -> tuple[float, np.ndarray]:
         raise DataError("labels must be 0 or 1")
     if not np.all((prob > 0.0) & (prob < 1.0)):
         raise DataError("probabilities must lie strictly inside (0, 1)")
-    n = prob.size
     loss = float(-(label * np.log(prob) + (1.0 - label) * np.log1p(-prob)).mean())
-    grad = (prob - label) / (n * prob * (1.0 - prob))
-    return loss, grad
+    return loss, (prob - label) / prob.size
 
 
 def sgd_step(net: FusionNetwork, grads: dict[str, np.ndarray], learning_rate: float) -> FusionNetwork:
@@ -93,7 +91,7 @@ def sgd_step(net: FusionNetwork, grads: dict[str, np.ndarray], learning_rate: fl
     Normalization running statistics are untouched; they only move inside
     train-mode forward passes.  Returns the same network for chaining.
     """
-    if not (_is_real(learning_rate) and np.isfinite(learning_rate) and learning_rate >= 0.0):
+    if not (_is_real(learning_rate) and learning_rate >= 0.0):
         raise ConfigurationError(
             f"learning rate must be non-negative and finite, got {learning_rate}"
         )
@@ -151,9 +149,9 @@ def train(net: FusionNetwork, scenes, cfg: TrainConfig) -> tuple[FusionNetwork, 
             step_rng = root.derive(_STREAM_STEP, epoch, pos)
             fp = forward(net, scene.sar, scene.mwr, mode="train", rng=step_rng,
                          keep_cache=True)
-            loss, grad_prob = bce_loss(fp.prob, scene.label)
+            loss, grad_logit = bce_loss(fp.prob, scene.label)
             losses.append(loss)
-            grads = backward(net, fp.cache, grad_prob)
+            grads = backward(net, fp.cache, grad_logit)
             for name, g in grads.items():
                 if not np.isfinite(g).all():
                     raise DataError(

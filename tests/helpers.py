@@ -148,36 +148,36 @@ def dropout_reference(x, rate, rng):
 
 
 def batch_norm_reference(x, state, mode):
-    """Batch normalization with its moments from ``np.mean``.
+    """Batch normalization of [C, H, W] with its moments from ``np.mean``.
 
     Updates ``state``'s running statistics in train mode, like the library,
     and returns ``(output, cache)``.
     """
     if mode == "train":
-        mean = x.mean(axis=(0, 2, 3))
-        centered = x - mean[None, :, None, None]
-        var = (centered * centered).mean(axis=(0, 2, 3))
-        inv_std = 1.0 / np.sqrt(var + state.epsilon)
-        xhat = centered * inv_std[None, :, None, None]
-        m = state.momentum
+        mean = x.mean(axis=(1, 2))
+        centered = x - mean[:, None, None]
+        var = (centered * centered).mean(axis=(1, 2))
+        inv_std = 1.0 / np.sqrt(var + ops._NORM_EPSILON)
+        xhat = centered * inv_std[:, None, None]
+        m = ops._NORM_MOMENTUM
         state.running_mean = m * state.running_mean + (1.0 - m) * mean
         state.running_var = m * state.running_var + (1.0 - m) * var
         cache = (xhat, inv_std)
     else:
-        inv_std = 1.0 / np.sqrt(state.running_var + state.epsilon)
-        xhat = (x - state.running_mean[None, :, None, None]) * inv_std[None, :, None, None]
+        inv_std = 1.0 / np.sqrt(state.running_var + ops._NORM_EPSILON)
+        xhat = (x - state.running_mean[:, None, None]) * inv_std[:, None, None]
         cache = None
-    return state.gamma[None, :, None, None] * xhat + state.beta[None, :, None, None], cache
+    return state.gamma[:, None, None] * xhat + state.beta[:, None, None], cache
 
 
 def batch_norm_backward_reference(grad_out, cache, state):
     """Train-mode batch-norm gradients with their means from ``np.mean``."""
     xhat, inv_std = cache
-    gh = grad_out * state.gamma[None, :, None, None]
-    mean_gh = gh.mean(axis=(0, 2, 3), keepdims=True)
-    mean_gh_xhat = (gh * xhat).mean(axis=(0, 2, 3), keepdims=True)
-    grad_x = inv_std[None, :, None, None] * (gh - mean_gh - xhat * mean_gh_xhat)
-    return grad_x, (grad_out * xhat).sum(axis=(0, 2, 3)), grad_out.sum(axis=(0, 2, 3))
+    gh = grad_out * state.gamma[:, None, None]
+    mean_gh = gh.mean(axis=(1, 2), keepdims=True)
+    mean_gh_xhat = (gh * xhat).mean(axis=(1, 2), keepdims=True)
+    grad_x = inv_std[:, None, None] * (gh - mean_gh - xhat * mean_gh_xhat)
+    return grad_x, (grad_out * xhat).sum(axis=(1, 2)), grad_out.sum(axis=(1, 2))
 
 
 def upsample_reference(x, factor, mode):
@@ -282,8 +282,7 @@ class CachedLossProbe:
                 x = ops.conv2d(x, branch.convs[2 * j + 1].kernels,
                                branch.convs[2 * j + 1].bias, dilation=d)
                 x = ops.relu(x)
-            x, _ = ops.batch_norm(x[None], branch.norms[j], mode="train")
-            x = x[0]
+            x, _ = ops.batch_norm(x, branch.norms[j], mode="train")
             site = self.rng.derive(network_mod._STREAM_DROPOUT, b, j)
             x, _ = ops.dropout(x, cfg.dropout_rate, site, mode="train")
         if cfg.mixing_activation == "relu":

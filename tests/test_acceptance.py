@@ -116,8 +116,8 @@ def test_criterion_01_finite_difference_gradients():
     drop_rng = SeededRng(6)
 
     fp = forward(net, sar, mwr, mode="train", rng=drop_rng, keep_cache=True)
-    _, grad_prob = bce_loss(fp.prob, label)
-    analytic = backward(net, fp.cache, grad_prob)
+    _, grad_logit = bce_loss(fp.prob, label)
+    analytic = backward(net, fp.cache, grad_logit)
     numeric = fd_gradients(net, sar, mwr, label, drop_rng, step=1e-5)
 
     worst = max(

@@ -207,6 +207,12 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         code, out, err = run(capsys, "gen-data", "--out", str(tmp_path / "e"), *extra)
         assert code == 2 and err.startswith("E_USAGE:") and out == ""
     assert not (tmp_path / "e").exists()
+    # a non-finite dial is refused before any scene is written
+    for extra in (["--mwr-noise", "nan"], ["--edge-amplitude", "inf"], ["--blob-scale", "inf"]):
+        code, out, err = run(capsys, "gen-data", "--out", str(tmp_path / "f"),
+                             "--scenes", "1", *extra)
+        assert code == 2 and err.startswith("E_CONFIG:") and out == ""
+    assert not (tmp_path / "f").exists()
     # a non-finite learning rate is refused before any data is read
     for rate in ("nan", "inf"):
         code, out, err = run(capsys, "train", "--data", str(tmp_path / "nowhere"),

@@ -72,5 +72,10 @@ def test_seed_and_path_validation():
         SeededRng(1.5)
     with pytest.raises(ConfigurationError):
         SeededRng(0, (-3,))
+    # A bool is not an integer, as everywhere else in the package.
+    with pytest.raises(ConfigurationError):
+        SeededRng(True)
+    with pytest.raises(ConfigurationError):
+        SeededRng(0, (True,))
     # numpy integers are fine
     SeededRng(np.uint64(3)).derive(np.int64(1))

@@ -1,4 +1,6 @@
 """Synthetic scene generator: determinism, balance, and the information dials."""
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -51,6 +53,9 @@ def test_fraction_validation():
         ice_fraction_coarse(np.zeros((1, 4, 4)), 0)
     with pytest.raises(ConfigurationError):
         ice_fraction_coarse(np.zeros((1, 4, 4)), 3)
+    for bad in (2.0, True):
+        with pytest.raises(ConfigurationError):
+            ice_fraction_coarse(np.zeros((1, 4, 4)), bad)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +115,8 @@ def test_config_validation():
                 SceneConfig(**{name: bad})
     for name in ("sar_ambiguity", "mwr_noise", "mwr_informative_fraction", "blob_scale",
                  "edge_amplitude"):
-        for bad in (True, False, "0.5", None):
+        # NaN passed every one-sided range check and reached the scene data.
+        for bad in (True, False, "0.5", None, math.nan, math.inf, -math.inf, np.float32("nan")):
             with pytest.raises(ConfigurationError):
                 SceneConfig(**{name: bad})
     cfg = SceneConfig(height=np.int64(32), width=32, mwr_factor=np.int32(8), mwr_noise=0,

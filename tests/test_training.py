@@ -1,11 +1,12 @@
 """Loss arithmetic, the SGD step, the epoch loop, and mixing statistics."""
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from icefusion import ops
+from icefusion import ops, training
 from icefusion.errors import ConfigurationError, DataError, DimensionError, UsageError
 from icefusion.importance import analyze
 from icefusion.network import ModelConfig, backward, build, forward, named_parameters
@@ -59,8 +60,7 @@ def test_bce_logit_gradient_matches_finite_differences():
     def loss_of(z):
         return bce_loss(ops.sigmoid(z), label)[0]
 
-    prob = ops.sigmoid(logit)
-    analytic = (prob - label) / prob.size
+    _, grad_logit = bce_loss(ops.sigmoid(logit), label)
     step = 1e-6
     for index in range(logit.size):
         bumped = logit.copy()
@@ -68,10 +68,17 @@ def test_bce_logit_gradient_matches_finite_differences():
         dipped = logit.copy()
         dipped.flat[index] -= step
         fd = (loss_of(bumped) - loss_of(dipped)) / (2.0 * step)
-        assert abs(fd - analytic.flat[index]) < 1e-6
-    # and the chain rule through the returned prob-space gradient agrees
-    _, grad_prob = bce_loss(prob, label)
-    npt.assert_allclose(grad_prob * prob * (1.0 - prob), analytic, rtol=1e-12)
+        assert abs(fd - grad_logit.flat[index]) < 1e-6
+
+
+def test_bce_gradient_stays_finite_at_saturated_logits():
+    # sigmoid clamps logit -800 to 5e-324 and +800 to 1 - 1e-16; the logit
+    # gradient there is (p - y) / N, about -1/N or +1/N, never infinite.
+    prob = ops.sigmoid(np.array([[[-800.0, 800.0], [-800.0, 800.0]]]))
+    label = np.array([[[1.0, 0.0], [0.0, 1.0]]])
+    loss, grad_logit = bce_loss(prob, label)
+    assert math.isfinite(loss)
+    npt.assert_allclose(grad_logit, [[[-0.25, 0.25], [0.0, 0.0]]], atol=1e-16)
 
 
 def test_bce_validation():
@@ -194,6 +201,10 @@ def test_train_config_validation():
     for shuffle in ("no", 0, None):
         with pytest.raises(ConfigurationError):
             TrainConfig(learning_rate=0.1, epochs=1, shuffle=shuffle)
+    for seed in (True, 1.5, -1, 2**64, "x", None):
+        with pytest.raises(ConfigurationError):
+            TrainConfig(learning_rate=0.1, epochs=1, seed=seed)
+    assert TrainConfig(learning_rate=0.1, epochs=1, seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
     assert not TrainConfig(learning_rate=np.float32(0.1), epochs=1, shuffle=np.False_).shuffle
 
 
@@ -218,19 +229,38 @@ def test_train_rejects_bad_datasets():
         train(net, ragged, cfg)
 
 
-def test_train_stops_on_a_non_finite_gradient():
-    # At logit -800 the clamped probability is 5e-324, and the probability
-    # gradient of a label-1 pixel overflows to -inf.
+def test_train_with_a_saturated_logit_stays_finite():
+    # At logit -800 the clamped probability is 5e-324: a gradient taken in
+    # probability space overflowed to -inf on every label-1 pixel.
     scenes = training_scenes(n=2)
     assert all(scene.label.max() == 1.0 for scene in scenes)
     net = build(ModelConfig.for_variant("small", mwr_factor=4), SeededRng(1))
     net.mixing_coefficients[:] = 0.0
     net.mixing_bias[...] = -800.0
+    cfg = TrainConfig(learning_rate=0.05, epochs=1, shuffle=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, history = train(net, scenes, cfg)
+    assert len(history) == 1 and math.isfinite(history[0])
+    assert float(net.mixing_bias) > -800.0
+    for name, p in named_parameters(net):
+        assert np.isfinite(p).all(), name
+
+
+def test_train_stops_on_a_non_finite_gradient(monkeypatch):
+    def poisoned_backward(net, cache, grad_logit):
+        grads = backward(net, cache, grad_logit)
+        grads["mixing.bias"] = np.array(-np.inf)
+        return grads
+
+    monkeypatch.setattr(training, "backward", poisoned_backward)
+    scenes = training_scenes(n=2)
+    net = build(ModelConfig.for_variant("small", mwr_factor=4), SeededRng(1))
     before = {name: p.copy() for name, p in named_parameters(net)}
     cfg = TrainConfig(learning_rate=0.05, epochs=1, shuffle=False)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DataError, match=r"non-finite gradient for '.+' in epoch 0, scene 0"):
-            train(net, scenes, cfg)
+    with pytest.raises(DataError, match=r"non-finite gradient for 'mixing.bias' in epoch 0, "
+                                        r"scene 0"):
+        train(net, scenes, cfg)
     for name, p in named_parameters(net):
         npt.assert_array_equal(p, before[name], err_msg=name)
 
@@ -268,8 +298,8 @@ def test_train_batch_accumulation_runs():
 
 def _hand_gradients(net, scene, step_rng):
     fp = forward(net, scene.sar, scene.mwr, mode="train", rng=step_rng, keep_cache=True)
-    loss, grad_prob = bce_loss(fp.prob, scene.label)
-    return loss, backward(net, fp.cache, grad_prob)
+    loss, grad_logit = bce_loss(fp.prob, scene.label)
+    return loss, backward(net, fp.cache, grad_logit)
 
 
 def test_train_batch_one_is_the_hand_loop():
