@@ -17,7 +17,7 @@ derived by hand; ``backward`` is the exact transpose of ``forward``.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -63,20 +63,10 @@ _STREAM_DROPOUT = 3
 # Branch width of each published variant; scale-0 and btemp are 14 wide in both.
 _BRANCH_WIDTH = {"small": 14, "large": 28}
 _PUBLISHED_WIDTH = 14
-_DEFAULT_RATES = (2, 4, 8, 16)
 
 
 def scale_group_name(dilation: int) -> str:
     return f"scale-{dilation}"
-
-
-def _group_names(rates) -> list[str]:
-    """Mixing-input group names in concatenation order."""
-    return [GROUP_SCALE0, *map(scale_group_name, rates), GROUP_BTEMP]
-
-
-def _width_map(rates, scale0: int, branch: int, btemp: int) -> dict[str, int]:
-    return dict(zip(_group_names(rates), [scale0, *[branch] * len(rates), btemp]))
 
 
 @dataclass(frozen=True)
@@ -96,15 +86,21 @@ class InputGroup:
 class ModelConfig:
     """Architecture hyperparameters.
 
-    ``variant`` selects the published channel widths: ``small`` gives every
-    group 14 channels, ``large`` widens the four dilated branches to 28.
-    ``custom`` accepts any positive widths for toy models.  Depths, kernel
-    size and radar channel count are fixed (see ``SAR_CHANNELS``).
+    The mixing inputs are partitioned into named groups: ``scale-0`` (the
+    stem tap, ``scale0_width`` wide), one ``scale-d`` group per dilation rate
+    d (each ``branch_width`` wide) and ``btemp`` (the ``mwr_channels``
+    radiometer channels); ``group_widths`` and ``groups`` derive that
+    partition.  ``variant`` selects the published widths: ``small`` is 14
+    everywhere, ``large`` widens the branches to 28, and both read 14 mwr
+    channels.  ``custom`` accepts any positive widths for toy models.
+    Depths, kernel size and radar channel count are fixed (see
+    ``SAR_CHANNELS``).
     """
 
     variant: str
-    group_widths: dict[str, int]
-    dilation_rates: tuple[int, ...] = _DEFAULT_RATES
+    scale0_width: int
+    branch_width: int
+    dilation_rates: tuple[int, ...] = (2, 4, 8, 16)
     dropout_rate: float = 0.1
     mixing_activation: str = "linear"
     upsample_mode: str = "bilinear"
@@ -137,34 +133,19 @@ class ModelConfig:
             raise ConfigurationError(
                 f"upsample mode must be 'nearest' or 'bilinear', got {self.upsample_mode!r}"
             )
-        if not all(_is_int(n) and n >= 1 for n in (self.mwr_channels, self.mwr_factor)):
+        counts = (self.scale0_width, self.branch_width, self.mwr_channels, self.mwr_factor)
+        if not all(_is_int(n) and n >= 1 for n in counts):
             raise ConfigurationError(
-                "the mwr channel count and grid factor must be positive integers, "
-                f"got {self.mwr_channels!r} and {self.mwr_factor!r}"
-            )
-
-        if not isinstance(self.group_widths, dict):
-            raise ConfigurationError(f"group widths must be a mapping, got {self.group_widths!r}")
-        expected = _group_names(rates)
-        if list(self.group_widths) != expected:
-            raise ConfigurationError(
-                f"group widths must name {expected} in order, got {list(self.group_widths)}"
-            )
-        if not all(_is_int(w) and w >= 1 for w in self.group_widths.values()):
-            raise ConfigurationError(
-                f"every group width must be a positive integer, got {self.group_widths}"
-            )
-        if self.group_widths[GROUP_BTEMP] != self.mwr_channels:
-            raise ConfigurationError(
-                "the btemp group width must equal the number of mwr channels"
+                "the scale-0 and branch widths, mwr channel count and grid factor must be "
+                f"positive integers, got {counts!r}"
             )
         if self.variant in _BRANCH_WIDTH:
-            published = _width_map(rates, _PUBLISHED_WIDTH, _BRANCH_WIDTH[self.variant],
-                                   _PUBLISHED_WIDTH)
-            if self.group_widths != published:
+            published = (_PUBLISHED_WIDTH, _BRANCH_WIDTH[self.variant], _PUBLISHED_WIDTH)
+            if counts[:3] != published:
                 raise ConfigurationError(
-                    f"the {self.variant} variant uses group widths {published}, "
-                    f"got {dict(self.group_widths)}"
+                    f"the {self.variant} variant reads {published[2]} mwr channels with "
+                    f"scale-0 width {published[0]} and branch width {published[1]}, got "
+                    f"{counts[2]} mwr channels with widths {counts[0]} and {counts[1]}"
                 )
 
     @classmethod
@@ -172,25 +153,20 @@ class ModelConfig:
         """Published configurations: ``small`` (all 14) or ``large`` (branches 28)."""
         if variant not in _BRANCH_WIDTH:
             raise ConfigurationError(f"variant must be 'small' or 'large', got {variant!r}")
-        return cls._uniform(variant, _PUBLISHED_WIDTH, _BRANCH_WIDTH[variant], overrides)
+        return cls(variant, _PUBLISHED_WIDTH, _BRANCH_WIDTH[variant], **overrides)
 
     @classmethod
     def custom(cls, scale0_width: int, branch_width: int, **overrides) -> "ModelConfig":
-        """Toy configuration with uniform branch widths."""
-        return cls._uniform("custom", scale0_width, branch_width, overrides)
+        """Toy configuration with any positive widths."""
+        return cls("custom", scale0_width, branch_width, **overrides)
 
-    @classmethod
-    def _uniform(cls, variant: str, scale0_width: int, branch_width: int,
-                 overrides: dict) -> "ModelConfig":
-        rates = tuple(overrides.pop("dilation_rates", _DEFAULT_RATES))
-        mwr_channels = overrides.pop("mwr_channels", _PUBLISHED_WIDTH)
-        return cls(
-            variant=variant,
-            group_widths=_width_map(rates, scale0_width, branch_width, mwr_channels),
-            dilation_rates=rates,
-            mwr_channels=mwr_channels,
-            **overrides,
-        )
+    @property
+    def group_widths(self) -> dict[str, int]:
+        """Width of each mixing-input group, in concatenation order."""
+        rates = self.dilation_rates
+        names = [GROUP_SCALE0, *map(scale_group_name, rates), GROUP_BTEMP]
+        return dict(zip(names, [self.scale0_width, *[self.branch_width] * len(rates),
+                                self.mwr_channels]))
 
     @property
     def groups(self) -> list[InputGroup]:
@@ -211,16 +187,15 @@ class ModelConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ModelConfig":
-        fields = dict(data)
-        widths = fields["group_widths"]
-        if isinstance(widths, dict):
-            # Serializers are free to reorder mapping keys (canonical JSON sorts
-            # them), so rebuild the widths in canonical group order.
-            order = _group_names(fields.get("dilation_rates", _DEFAULT_RATES))
-            if sorted(widths) == sorted(order):
-                fields["group_widths"] = {name: widths[name] for name in order}
-        return cls(**fields)
+    def from_dict(cls, data) -> "ModelConfig":
+        """Rebuild a config from a mapping of exactly the fields ``to_dict`` writes."""
+        names = [f.name for f in fields(cls)]
+        if not isinstance(data, dict) or set(data) != set(names):
+            got = list(data) if isinstance(data, dict) else data
+            raise ConfigurationError(
+                f"a model config must map exactly the fields {names}, got {got!r}"
+            )
+        return cls(**data)
 
 
 @dataclass
@@ -302,7 +277,7 @@ def build(config: ModelConfig, rng: SeededRng) -> FusionNetwork:
     """
     if not isinstance(rng, SeededRng):
         raise UsageError("build needs a SeededRng")
-    stem_width = config.group_widths[GROUP_SCALE0]
+    stem_width, width = config.scale0_width, config.branch_width
     stem = []
     cin = SAR_CHANNELS
     for i in range(_STEM_DEPTH):
@@ -311,7 +286,6 @@ def build(config: ModelConfig, rng: SeededRng) -> FusionNetwork:
 
     branches = []
     for b, d in enumerate(config.dilation_rates):
-        width = config.group_widths[scale_group_name(d)]
         convs = []
         cin = stem_width
         for j in range(2 * _BRANCH_BLOCKS):
@@ -339,14 +313,12 @@ def _value_count(config: ModelConfig) -> int:
     the network it describes.
     """
     taps = _KERNEL_SIZE * _KERNEL_SIZE
-    stem = config.group_widths[GROUP_SCALE0]
+    stem, width = config.scale0_width, config.branch_width
     count = (SAR_CHANNELS * taps + 1) * stem + (_STEM_DEPTH - 1) * (stem * taps + 1) * stem
-    for d in config.dilation_rates:
-        width = config.group_widths[scale_group_name(d)]
-        count += (stem * taps + 1) * width
-        count += (2 * _BRANCH_BLOCKS - 1) * (width * taps + 1) * width
-        count += _BRANCH_BLOCKS * 4 * width  # gamma, beta, running mean and variance
-    return count + config.mixing_width + 1
+    branch = (stem * taps + 1) * width
+    branch += (2 * _BRANCH_BLOCKS - 1) * (width * taps + 1) * width
+    branch += _BRANCH_BLOCKS * 4 * width  # gamma, beta, running mean and variance
+    return count + len(config.dilation_rates) * branch + config.mixing_width + 1
 
 
 def _check_inputs(config: ModelConfig, sar: np.ndarray, mwr: np.ndarray) -> None:

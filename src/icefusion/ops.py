@@ -3,10 +3,11 @@
 All functions take and return float64 numpy arrays in one channel-first
 layout, a single scene's [C, H, W].  They never write to their inputs.
 ``batch_norm`` updates the running statistics on its state object in train
-mode.  ``dropout`` keeps a bounded memo of its last keep-scales, so a
-repeated stream replays its masks without redrawing them, and returns each
-keep-scale read-only.  Each backward companion is the exact chain-rule
-transpose of its forward map, which the finite-difference suite verifies.
+mode.  ``dropout`` keeps its recent keep-scales in a bounded
+``functools.lru_cache``, so a repeated stream replays its masks without
+redrawing them, and returns each keep-scale read-only.  Each backward
+companion is the exact chain-rule transpose of its forward map, which the
+finite-difference suite verifies.
 
 ``conv2d`` builds its im2col window matrix one band of whole output rows at a
 time, about 512 KiB each, so that the matrix and its GEMM stay in cache
@@ -533,12 +534,17 @@ def sigmoid(x) -> np.ndarray:
     return np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
 
 
-# Keep-scales of the last train-mode draws, keyed by (rng, shape, rate) and
-# oldest first.  A SeededRng always draws the same values, so a hit is the
-# draw itself.  One slot per dropout site of a forward (4 branches x 3 blocks)
-# lets finite-difference probes, which replay one rng, skip every redraw.
-_KEEP_SCALES: dict = {}
-_KEEP_SCALE_SLOTS = 12
+@functools.lru_cache(maxsize=12)
+def _keep_scale(rng: SeededRng, shape: tuple[int, ...], rate: float) -> np.ndarray:
+    """The read-only keep-scale of one train-mode draw.
+
+    A SeededRng always draws the same values, so a cache hit is the draw
+    itself.  One entry per dropout site of a forward (4 branches x 3 blocks)
+    lets finite-difference probes, which replay one rng, skip every redraw.
+    """
+    keep_scale = (rng.random(shape) >= rate).astype(np.float64) / (1.0 - rate)
+    keep_scale.flags.writeable = False
+    return keep_scale
 
 
 def dropout(x, rate: float, rng: SeededRng | None, mode: str = "train"):
@@ -549,14 +555,14 @@ def dropout(x, rate: float, rng: SeededRng | None, mode: str = "train"):
     None when the op was an identity (eval mode or rate 0).
 
     Train mode needs a :class:`SeededRng`.  The keep-scale is read-only and
-    is shared with later calls on an equal (rng, shape, rate): the last 12
-    are memoized, and an eval-mode call empties the memo.
+    is shared with later calls on an equal (rng, shape, rate): the 12 most
+    recently used are memoized, and an eval-mode call empties the memo.
     """
     x = np.asarray(x, dtype=np.float64)
     if not (_is_real(rate) and 0.0 <= rate < 1.0):
         raise ConfigurationError(f"dropout rate must lie in [0, 1), got {rate!r}")
     if mode == "eval":
-        _KEEP_SCALES.clear()
+        _keep_scale.cache_clear()
     if mode == "eval" or rate == 0.0:
         return x.copy(), None
     if mode != "train":
@@ -567,14 +573,5 @@ def dropout(x, rate: float, rng: SeededRng | None, mode: str = "train"):
         )
     # One float for key and draw alike: an np.float32 rate equals its float64
     # value as a key but would divide by a float32 keep probability.
-    rate = float(rate)
-    key = (rng, x.shape, rate)
-    keep_scale = _KEEP_SCALES.get(key)
-    if keep_scale is None:
-        keep = rng.random(x.shape) >= rate
-        keep_scale = keep.astype(np.float64) / (1.0 - rate)
-        keep_scale.flags.writeable = False
-        if len(_KEEP_SCALES) >= _KEEP_SCALE_SLOTS:
-            del _KEEP_SCALES[next(iter(_KEEP_SCALES))]
-        _KEEP_SCALES[key] = keep_scale
+    keep_scale = _keep_scale(rng, x.shape, float(rate))
     return x * keep_scale, keep_scale

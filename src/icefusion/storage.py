@@ -245,8 +245,8 @@ def load_checkpoint(path) -> FusionNetwork:
     """
     header, arrays = _read_container(path, _CHECKPOINT_SCHEMA)
     try:
-        config = ModelConfig.from_dict(header["model_config"])
-    except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
+        config = ModelConfig.from_dict(header.get("model_config"))
+    except ConfigurationError as exc:
         raise FormatError(f"checkpoint is missing a valid model config: {exc}") from exc
     # A config that needs more values than the file holds cannot match it;
     # refuse before building, which allocates whatever the config claims.

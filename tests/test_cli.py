@@ -221,6 +221,19 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         assert code == 2 and err.startswith("E_CONFIG:") and out == ""
 
 
+def test_train_refuses_a_dataset_the_variant_cannot_read(capsys, tmp_path):
+    # the published variants read 14 radiometer channels
+    data = tmp_path / "data"
+    code, _, _ = run(capsys, *GEN_ARGS, "--mwr-channels", "7", "--out", str(data))
+    assert code == 0
+    code, out, err = run(capsys, "train", "--data", str(data), "--variant", "small",
+                         "--out", str(tmp_path / "m.ckpt"), "--epochs", "1")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("E_CONFIG: the small variant reads 14 mwr channels")
+    assert "got 7 mwr channels" in err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 def test_missing_files_exit_3(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", "--ckpt", str(tmp_path / "no.ckpt"),
                        "--data", str(tmp_path), "--out", str(tmp_path / "r.json"))

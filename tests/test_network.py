@@ -1,4 +1,5 @@
 """Network assembly, forward semantics, and the hand-derived backward."""
+import json
 import math
 
 import numpy as np
@@ -8,8 +9,6 @@ import pytest
 from icefusion import ops
 from icefusion.errors import ConfigurationError, DimensionError, UsageError
 from icefusion.network import (
-    GROUP_BTEMP,
-    GROUP_SCALE0,
     SAR_CHANNELS,
     ModelConfig,
     _value_count,
@@ -21,6 +20,7 @@ from icefusion.network import (
     scale_group_name,
 )
 from icefusion.rng import SeededRng
+from icefusion.storage import dump_json
 from icefusion.training import bce_loss, sgd_step
 
 from helpers import CachedLossProbe, fd_gradients, fd_slow, grad_gap
@@ -81,18 +81,13 @@ def test_config_validation():
         ModelConfig.for_variant("small", mixing_activation="tanh")
     with pytest.raises(ConfigurationError):
         ModelConfig.for_variant("small", mwr_channels=10)  # small fixes 14
-    # hand-built width maps must match the variant contract
-    widths = {GROUP_SCALE0: 14, "scale-2": 14, "scale-4": 14,
-              "scale-8": 14, "scale-16": 14, GROUP_BTEMP: 14}
-    ModelConfig(variant="small", group_widths=widths)
-    bad = dict(widths, **{"scale-4": 15})
-    with pytest.raises(ConfigurationError):
-        ModelConfig(variant="small", group_widths=bad)
-    with pytest.raises(ConfigurationError):
-        ModelConfig(variant="large", group_widths=widths)
-    wrong_order = {GROUP_BTEMP: 14, **{k: v for k, v in widths.items() if k != GROUP_BTEMP}}
-    with pytest.raises(ConfigurationError):
-        ModelConfig(variant="small", group_widths=wrong_order)
+    # hand-built widths must match the variant contract
+    assert ModelConfig("small", 14, 14) == ModelConfig.for_variant("small")
+    assert ModelConfig("large", 14, 28) == ModelConfig.for_variant("large")
+    for variant, scale0, branch in (("small", 14, 15), ("small", 15, 14),
+                                    ("large", 14, 14), ("small", 14, 28)):
+        with pytest.raises(ConfigurationError):
+            ModelConfig(variant, scale0, branch)
     # Counts must be true integers: bools and floats are refused, not coerced.
     for bad in (True, 8.5, 8.0, "8", None):
         with pytest.raises(ConfigurationError):
@@ -102,9 +97,14 @@ def test_config_validation():
         with pytest.raises(ConfigurationError):
             ModelConfig.custom(bad, 3)
         with pytest.raises(ConfigurationError):
+            ModelConfig.custom(2, bad)
+        with pytest.raises(ConfigurationError):
             ModelConfig.custom(2, 3, dilation_rates=(2, bad))
-    with pytest.raises(ConfigurationError):
-        ModelConfig(variant="custom", group_widths=[2, 2, 2, 2, 2, 14])
+    for bad in (0, -1, [2, 2], {"scale-2": 2}):
+        with pytest.raises(ConfigurationError):
+            ModelConfig("custom", 2, bad)
+        with pytest.raises(ConfigurationError):
+            ModelConfig("small", bad, 14)
     cfg = ModelConfig.custom(np.int64(2), 3, dilation_rates=(np.int32(2), 4), mwr_channels=2)
     assert cfg.dilation_rates == (2, 4) and type(cfg.dilation_rates[0]) is int
 
@@ -121,8 +121,21 @@ def test_value_count_matches_the_built_network(config):
 
 
 def test_config_dict_round_trip():
-    cfg = ModelConfig.for_variant("large", mixing_activation="relu", mwr_factor=8)
-    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    for cfg in (ModelConfig.for_variant("small"),
+                ModelConfig.for_variant("large", mixing_activation="relu", mwr_factor=8),
+                ModelConfig.custom(3, 2, dilation_rates=(2, 5), mwr_channels=4,
+                                   dropout_rate=0.0)):
+        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+        # through the canonical JSON a checkpoint header stores (sorted keys, lists)
+        assert ModelConfig.from_dict(json.loads(dump_json(cfg.to_dict()))) == cfg
+
+
+def test_config_from_dict_refuses_malformed_mappings():
+    good = ModelConfig.for_variant("small").to_dict()
+    for data in ({"variant": "small"}, [1], None, "small", dict(good, kernel_size=3),
+                 {k: v for k, v in good.items() if k != "dilation_rates"}):
+        with pytest.raises(ConfigurationError):
+            ModelConfig.from_dict(data)
 
 
 # ---------------------------------------------------------------------------

@@ -116,21 +116,29 @@ def test_checkpoint_with_removed_config_key_is_refused(tmp_path, capsys):
     assert code == 3 and err.startswith("E_FORMAT:") and err.count("\n") == 1
 
 
-def _widths_set(value):
-    return lambda cfg: cfg["group_widths"].update({"scale-2": value})
+def _config_set(field, value):
+    return lambda cfg: cfg.update({field: value})
+
+
+def _group_widths_header(cfg):
+    """The model config as written while it stored the partition as a map."""
+    widths = ModelConfig.from_dict(cfg).group_widths
+    del cfg["scale0_width"], cfg["branch_width"]
+    cfg["group_widths"] = widths
 
 
 @pytest.mark.parametrize("edit", [
-    _widths_set("abc"),
-    _widths_set(2.9),    # was truncated to 2 and loaded
-    _widths_set(True),
+    _config_set("scale0_width", "abc"),
+    _config_set("branch_width", 2.9),    # was truncated to 2 and loaded
+    _config_set("branch_width", True),
     lambda cfg: cfg.update(dilation_rates=["x", 4]),
     lambda cfg: cfg.update(dilation_rates=[2.0, 4]),
     lambda cfg: cfg.update(mwr_factor=1.5),
     lambda cfg: cfg.update(mwr_channels=True),
     lambda cfg: cfg.update(variant="huge"),
-    lambda cfg: cfg.update(group_widths=[2, 2, 2, 2]),
+    lambda cfg: cfg.update(scale0_width=[2, 2, 2, 2]),
     lambda cfg: cfg.pop("dilation_rates"),
+    _group_widths_header,
 ])
 def test_malformed_checkpoint_configs_exit_3(tmp_path, capsys, edit):
     path = tmp_path / "model.ckpt"
