@@ -10,13 +10,34 @@ The model is a bank of parallel views of one high-resolution radar image:
 * the coarse radiometer channels, upsampled to the radar grid with no
   learned transform.
 
-All blocks are concatenated into the mixing inputs and combined per pixel by
-a single linear layer plus logistic function, so the final stage is an
-ordinary logistic regression over named feature channels.  Gradients are
+All blocks are written into one array of mixing inputs and combined per
+pixel by a single linear layer plus logistic function, so the final stage is
+an ordinary logistic regression over named feature channels.  Gradients are
 derived by hand; ``backward`` is the exact transpose of ``forward``.
+
+The branches meet only at the stem tap and the mixing layer, so ``forward``
+and ``backward`` run them concurrently, one task per branch on a module
+thread pool made on first use (one thread per usable CPU, rebuilt in a
+forked child).  Each pool thread first calls OpenBLAS's
+``openblas_set_num_threads_local(1)`` in the library numpy loaded, so
+branches do not fight over BLAS threads.  In the pthreads OpenBLAS that
+numpy's wheels bundle this sets the count for the whole process: once the
+pool exists, every numpy GEMM in the process runs on one thread.  Branches
+run serially on the calling thread on grids under ``_POOL_MIN_PIXELS``
+(32x32), with fewer than two branches or usable CPUs, or when numpy's BLAS
+is not an OpenBLAS with that call.  Every branch writes only its own
+block, cache and gradients, and ``backward`` adds the branches' tap
+gradients on the calling thread in branch order, so outputs are the same
+bits either way.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -58,6 +79,11 @@ _STREAM_STEM = 0
 _STREAM_BRANCH = 1
 _STREAM_MIXING = 2
 _STREAM_DROPOUT = 3
+
+# Branches run concurrently only on grids of at least this many pixels (32x32);
+# on smaller grids, such as the 8x8 gradient checks, handing a branch to a
+# thread costs more than its work.
+_POOL_MIN_PIXELS = 1024
 
 
 # Branch width of each published variant; scale-0 and btemp are 14 wide in both.
@@ -147,6 +173,11 @@ class ModelConfig:
                     f"scale-0 width {published[0]} and branch width {published[1]}, got "
                     f"{counts[2]} mwr channels with widths {counts[0]} and {counts[1]}"
                 )
+        # Plain Python numbers, as for the rates: numpy scalars would reach the
+        # checkpoint header, which JSON cannot encode.
+        for name in ("scale0_width", "branch_width", "mwr_channels", "mwr_factor"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        object.__setattr__(self, "dropout_rate", float(self.dropout_rate))
 
     @classmethod
     def for_variant(cls, variant: str, **overrides) -> "ModelConfig":
@@ -337,6 +368,112 @@ def _check_inputs(config: ModelConfig, sar: np.ndarray, mwr: np.ndarray) -> None
         )
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@functools.cache
+def _blas_thread_limit():
+    """OpenBLAS's ``openblas_set_num_threads_local`` in the library numpy loaded, or None.
+
+    numpy's wheels bundle their OpenBLAS in ``numpy.libs``; loading it again
+    by path returns the copy numpy already uses.  scipy bundles a second,
+    32-bit-integer OpenBLAS, which numpy's ``matmul`` never calls.
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            limit = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        limit.argtypes, limit.restype = [ctypes.c_int], ctypes.c_int
+        return limit
+    return None
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    # A forked child inherits the pool object but none of its threads, and
+    # the lock as it was, perhaps held by a thread the child does not have.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _branch_pool(branches: int, pixels: int) -> ThreadPoolExecutor | None:
+    """The shared branch pool, or None when the branches should run serially.
+
+    The pool may hold one thread per usable CPU, but it starts threads only
+    as tasks arrive, so one pass's branches run on at most
+    min(branches, CPUs) of them.
+    """
+    global _pool
+    if pixels < _POOL_MIN_PIXELS or branches < 2:
+        return None
+    with _pool_lock:
+        if _pool is None:
+            cpus, limit = _usable_cpus(), _blas_thread_limit()
+            if cpus < 2 or limit is None:
+                return None
+            _pool = ThreadPoolExecutor(cpus, thread_name_prefix="icefusion-branch",
+                                       initializer=limit, initargs=(1,))
+        return _pool
+
+
+def _each_branch(fn, items: list[tuple], pixels: int) -> list:
+    """``[fn(*item) for item in items]``, one item per branch, on the pool when it pays.
+
+    Every branch finishes before the results, or the first branch's error in
+    branch order, come back.
+    """
+    pool = _branch_pool(len(items), pixels)
+    if pool is None:
+        return [fn(*item) for item in items]
+    futures = [pool.submit(fn, *item) for item in items]
+    wait(futures)
+    return [future.result() for future in futures]
+
+
+def _branch_forward(branch: Branch, b: int, tap: np.ndarray, out: np.ndarray,
+                    cfg: ModelConfig, mode: str, rng: SeededRng | None,
+                    keep_cache: bool) -> _BranchCache | None:
+    """Branch ``b`` on the stem tap, written into its block ``out`` of the mixing inputs."""
+    x = ops.avg_smooth(tap, branch.dilation)
+    conv_inputs, relu_masks, norm_caches, drop_scales = [], [], [], []
+    for j in range(len(branch.norms)):
+        conv_inputs.append(x)
+        x = ops.conv2d(x, branch.convs[2 * j].kernels, branch.convs[2 * j].bias,
+                       dilation=branch.dilation)
+        conv_inputs.append(x)
+        x = ops.conv2d(x, branch.convs[2 * j + 1].kernels, branch.convs[2 * j + 1].bias,
+                       dilation=branch.dilation)
+        if keep_cache:
+            relu_masks.append(x > 0.0)
+        x = ops.relu(x)
+        x, norm_cache = ops.batch_norm(x, branch.norms[j], mode=mode)
+        norm_caches.append(norm_cache)
+        site_rng = rng.derive(_STREAM_DROPOUT, b, j) if rng is not None else None
+        x, scale = ops.dropout(x, cfg.dropout_rate, site_rng, mode=mode)
+        drop_scales.append(scale)
+    if cfg.mixing_activation == "relu":
+        mix_mask = x > 0.0
+        x = ops.relu(x)
+    else:
+        mix_mask = None
+    out[...] = x
+    if not keep_cache:
+        return None
+    return _BranchCache(conv_inputs, relu_masks, norm_caches, drop_scales, mix_mask)
+
+
 def forward(
     net: FusionNetwork,
     sar,
@@ -351,8 +488,8 @@ def forward(
     Train mode uses batch statistics (updating the running ones) and draws
     dropout masks from per-layer streams of ``rng``; eval mode is
     deterministic and needs no rng.  The returned mixing inputs are the
-    concatenated feature blocks feeding the final logistic layer, with the
-    btemp block equal to the upsampled mwr exactly.
+    feature blocks feeding the final logistic layer, in group order, with
+    the btemp block equal to the upsampled mwr exactly.
     """
     sar = np.asarray(sar, dtype=np.float64)
     mwr = np.asarray(mwr, dtype=np.float64)
@@ -368,39 +505,20 @@ def forward(
     for layer in net.stem:
         stem_inputs.append(x)
         x = ops.conv2d(x, layer.kernels, layer.bias, dilation=1)
-    tap = x  # the scale-0 block and the trunk all branches read
 
-    blocks = [tap]
-    branch_caches = []
-    for b, branch in enumerate(net.branches):
-        x = ops.avg_smooth(tap, branch.dilation)
-        conv_inputs, relu_masks, norm_caches, drop_scales = [], [], [], []
-        for j in range(len(branch.norms)):
-            conv_inputs.append(x)
-            x = ops.conv2d(x, branch.convs[2 * j].kernels, branch.convs[2 * j].bias,
-                           dilation=branch.dilation)
-            conv_inputs.append(x)
-            x = ops.conv2d(x, branch.convs[2 * j + 1].kernels, branch.convs[2 * j + 1].bias,
-                           dilation=branch.dilation)
-            if keep_cache:
-                relu_masks.append(x > 0.0)
-            x = ops.relu(x)
-            x, norm_cache = ops.batch_norm(x, branch.norms[j], mode=mode)
-            norm_caches.append(norm_cache)
-            site_rng = rng.derive(_STREAM_DROPOUT, b, j) if rng is not None else None
-            x, scale = ops.dropout(x, cfg.dropout_rate, site_rng, mode=mode)
-            drop_scales.append(scale)
-        if cfg.mixing_activation == "relu":
-            mix_mask = x > 0.0
-            x = ops.relu(x)
-        else:
-            mix_mask = None
-        blocks.append(x)
-        branch_caches.append(_BranchCache(conv_inputs, relu_masks, norm_caches,
-                                          drop_scales, mix_mask))
-
-    blocks.append(ops.upsample(mwr, cfg.mwr_factor, mode=cfg.upsample_mode))
-    mixing_inputs = np.concatenate(blocks, axis=0)
+    # Every block is written straight into its rows of the mixing inputs.
+    height, width = sar.shape[1:]
+    mixing_inputs = np.empty((cfg.mixing_width, height, width))
+    blocks = [mixing_inputs[g.start:g.stop] for g in cfg.groups]
+    tap = blocks[0]  # the scale-0 block and the trunk all branches read
+    tap[...] = x
+    blocks[-1][...] = ops.upsample(mwr, cfg.mwr_factor, mode=cfg.upsample_mode)
+    branch_caches = _each_branch(
+        _branch_forward,
+        [(branch, b, tap, blocks[1 + b], cfg, mode, rng, keep_cache)
+         for b, branch in enumerate(net.branches)],
+        height * width,
+    )
 
     logit = float(net.mixing_bias) + np.tensordot(
         net.mixing_coefficients, mixing_inputs, axes=([0], [0])
@@ -419,6 +537,34 @@ def forward(
             prob=prob,
         )
     return ForwardPass(prob=prob, mixing_inputs=mixing_inputs, cache=cache)
+
+
+def _branch_backward(branch: Branch, bc: _BranchCache, coefficients: np.ndarray,
+                     grad_logit: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Branch gradients from its block's mixing ``coefficients`` ([width, 1, 1]).
+
+    Returns the branch's share of the stem tap's gradient and its parameter
+    gradients, keyed in the order :func:`backward` reports them.  Every mask
+    multiplies a gradient this function made, so it multiplies in place.
+    """
+    grads: dict[str, np.ndarray] = {}
+    prefix = f"branch.{branch.dilation}"
+    g = coefficients * grad_logit
+    if bc.mix_mask is not None:
+        g *= bc.mix_mask
+    for j in reversed(range(len(branch.norms))):
+        if bc.drop_scales[j] is not None:
+            g *= bc.drop_scales[j]
+        g, d_gamma, d_beta = ops.batch_norm_backward(g, bc.norm_caches[j], branch.norms[j])
+        grads[f"{prefix}.norm{j}.gamma"] = d_gamma
+        grads[f"{prefix}.norm{j}.beta"] = d_beta
+        g *= bc.relu_masks[j]
+        for c in (2 * j + 1, 2 * j):
+            g, d_k, d_b = ops.conv2d_backward(g, bc.conv_inputs[c], branch.convs[c].kernels,
+                                              dilation=branch.dilation)
+            grads[f"{prefix}.conv{c}.kernels"] = d_k
+            grads[f"{prefix}.conv{c}.bias"] = d_b
+    return ops.avg_smooth_backward(g, branch.dilation), grads
 
 
 def backward(net: FusionNetwork, cache: _Cache, grad_logit) -> dict[str, np.ndarray]:
@@ -448,35 +594,20 @@ def backward(net: FusionNetwork, cache: _Cache, grad_logit) -> dict[str, np.ndar
     grads["mixing.coefficients"] = np.tensordot(
         cache.mixing_inputs, grad_logit, axes=([1, 2], [0, 1])
     )
-    grad_mix = net.mixing_coefficients[:, None, None] * grad_logit[None]
-
-    groups = net.groups
-    grad_tap = grad_mix[groups[0].start:groups[0].stop].copy()
-
-    for b, branch in enumerate(net.branches):
-        bc = cache.branches[b]
-        grp = groups[1 + b]
-        g = grad_mix[grp.start:grp.stop]
-        if bc.mix_mask is not None:
-            g = g * bc.mix_mask
-        for j in reversed(range(len(branch.norms))):
-            if bc.drop_scales[j] is not None:
-                g = g * bc.drop_scales[j]
-            g, d_gamma, d_beta = ops.batch_norm_backward(g, bc.norm_caches[j], branch.norms[j])
-            grads[f"branch.{branch.dilation}.norm{j}.gamma"] = d_gamma
-            grads[f"branch.{branch.dilation}.norm{j}.beta"] = d_beta
-            g = g * bc.relu_masks[j]
-            g, d_k, d_b = ops.conv2d_backward(g, bc.conv_inputs[2 * j + 1],
-                                              branch.convs[2 * j + 1].kernels,
-                                              dilation=branch.dilation)
-            grads[f"branch.{branch.dilation}.conv{2 * j + 1}.kernels"] = d_k
-            grads[f"branch.{branch.dilation}.conv{2 * j + 1}.bias"] = d_b
-            g, d_k, d_b = ops.conv2d_backward(g, bc.conv_inputs[2 * j],
-                                              branch.convs[2 * j].kernels,
-                                              dilation=branch.dilation)
-            grads[f"branch.{branch.dilation}.conv{2 * j}.kernels"] = d_k
-            grads[f"branch.{branch.dilation}.conv{2 * j}.bias"] = d_b
-        grad_tap += ops.avg_smooth_backward(g, branch.dilation)
+    # Each block's gradient is made where it is used, never the whole [D, H, W].
+    coefficients = [net.mixing_coefficients[g.start:g.stop, None, None] for g in net.groups]
+    grad_tap = coefficients[0] * grad_logit
+    branch_grads = _each_branch(
+        _branch_backward,
+        [(branch, cache.branches[b], coefficients[1 + b], grad_logit)
+         for b, branch in enumerate(net.branches)],
+        grad_logit.size,
+    )
+    # Summed on this thread in branch order, so the sum is the same bits
+    # whether or not the branches ran concurrently.
+    for tap_grad, own in branch_grads:
+        grad_tap += tap_grad
+        grads.update(own)
 
     g = grad_tap
     for i in reversed(range(len(net.stem))):

@@ -1,13 +1,22 @@
 """Network assembly, forward semantics, and the hand-derived backward."""
 import json
 import math
+import multiprocessing
+import sys
+import threading
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from icefusion import network as network_mod
 from icefusion import ops
-from icefusion.errors import ConfigurationError, DimensionError, UsageError
+from icefusion.errors import (
+    ConfigurationError,
+    DegenerateStatisticsError,
+    DimensionError,
+    UsageError,
+)
 from icefusion.network import (
     SAR_CHANNELS,
     ModelConfig,
@@ -427,3 +436,172 @@ def test_backward_rejects_bad_caches():
     with pytest.raises(UsageError):
         backward(other, forward(net, sar, mwr, mode="train", rng=rng,
                                 keep_cache=True).cache, np.zeros((1, 6, 6)))
+
+
+# ---------------------------------------------------------------------------
+# Branch concurrency
+
+
+def serial_branches(monkeypatch):
+    monkeypatch.setattr(network_mod, "_POOL_MIN_PIXELS", 10**9)
+
+
+def run_step(config, monkeypatch, serial):
+    """Train forward with cache, backward and an eval forward on one 64x64 scene."""
+    with monkeypatch.context() as patch:
+        if serial:
+            serial_branches(patch)
+        net = build(config, SeededRng(31))
+        sar, mwr = scene_arrays(np.random.default_rng(32), config, height=64, width=64)
+        label = (np.random.default_rng(33).random((1, 64, 64)) > 0.5).astype(np.float64)
+        train_pass = forward(net, sar, mwr, mode="train", rng=SeededRng(34), keep_cache=True)
+        _, grad_logit = bce_loss(train_pass.prob, label)
+        grads = backward(net, train_pass.cache, grad_logit)
+        eval_pass = forward(net, sar, mwr, mode="eval")
+    return net, train_pass, grads, eval_pass
+
+
+def assert_steps_equal(serial_step, pooled_step):
+    nets, trains, grads, evals = zip(serial_step, pooled_step)
+    for fp in (trains, evals):
+        npt.assert_array_equal(fp[0].prob, fp[1].prob)
+        npt.assert_array_equal(fp[0].mixing_inputs, fp[1].mixing_inputs)
+    for serial, pooled in zip(trains[0].cache.branches, trains[1].cache.branches):
+        for name in ("conv_inputs", "relu_masks", "drop_scales"):
+            for a, b in zip(getattr(serial, name), getattr(pooled, name)):
+                npt.assert_array_equal(a, b, err_msg=name)
+    assert list(grads[0]) == list(grads[1])
+    for name in grads[0]:
+        npt.assert_array_equal(grads[0][name], grads[1][name], err_msg=name)
+    for (name, a), (_, b) in zip(named_state(nets[0]), named_state(nets[1])):
+        npt.assert_array_equal(a, b, err_msg=name)
+
+
+@pytest.mark.parametrize("config", [
+    ModelConfig.for_variant("small", mwr_factor=8),
+    ModelConfig.for_variant("large", mwr_factor=8),
+    ModelConfig.custom(3, 4, dilation_rates=(4,), mwr_channels=2, mwr_factor=8),
+])
+def test_pooled_and_serial_branches_agree_bitwise(config, monkeypatch):
+    assert_steps_equal(run_step(config, monkeypatch, serial=True),
+                       run_step(config, monkeypatch, serial=False))
+
+
+def test_branches_agree_bitwise_with_a_worker_each_and_rapid_switching(monkeypatch):
+    # Four workers on any machine run every branch at once, and a 1 us switch
+    # interval hands the interpreter lock between them as often as it can.
+    config = ModelConfig.for_variant("small", mwr_factor=8)
+    serial_step = run_step(config, monkeypatch, serial=True)
+    monkeypatch.setattr(network_mod, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(network_mod, "_pool", None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled_step = run_step(config, monkeypatch, serial=False)
+    finally:
+        sys.setswitchinterval(interval)
+        if network_mod._pool is not None:
+            network_mod._pool.shutdown()
+    assert_steps_equal(serial_step, pooled_step)
+
+
+def record_conv_threads(monkeypatch):
+    """Thread ids of every conv2d and conv2d_backward call from here on."""
+    threads = []
+    for name in ("conv2d", "conv2d_backward"):
+        original = getattr(ops, name)
+
+        def recorded(*args, _original=original, **kwargs):
+            threads.append(threading.get_ident())
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(ops, name, recorded)
+    return threads
+
+
+def test_small_grids_run_branches_on_the_calling_thread(monkeypatch):
+    net = small_net(seed=41, mwr_factor=4)
+    sar, mwr = scene_arrays(np.random.default_rng(40), net.config, height=8, width=8)
+    threads = record_conv_threads(monkeypatch)
+    fp = forward(net, sar, mwr, mode="train", rng=SeededRng(2), keep_cache=True)
+    backward(net, fp.cache, np.ones_like(fp.prob))
+    assert len(threads) == 2 * 26
+    assert set(threads) == {threading.get_ident()}
+
+
+def numpy_uses_openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+@pytest.mark.skipif(not numpy_uses_openblas(), reason="numpy's BLAS is not OpenBLAS")
+def test_pool_workers_hold_numpy_blas_to_one_thread(monkeypatch):
+    # An OpenBLAS that renamed or dropped its thread limit would quietly send
+    # every grid down the serial path; this fails instead.
+    limit = network_mod._blas_thread_limit()
+    assert limit is not None
+    cpus = network_mod._usable_cpus()
+    monkeypatch.setattr(network_mod, "_usable_cpus", lambda: max(cpus, 2))
+    pool = network_mod._branch_pool(4, 64 * 64)
+    assert pool is not None
+    # The limit returns the thread count it replaces: one, set by the initializer.
+    assert all(count == 1 for count in pool.map(limit, [1] * 4))
+    threads = record_conv_threads(monkeypatch)
+    net = small_net(seed=42, mwr_factor=8)
+    sar, mwr = scene_arrays(np.random.default_rng(43), net.config, height=64, width=64)
+    forward(net, sar, mwr, mode="eval")
+    caller = threading.get_ident()
+    assert threads.count(caller) == 2  # the stem
+    assert len(threads) == 26 and caller not in threads[2:]
+
+
+def forward_in_child(net, sar, mwr, conn):
+    conn.send(forward(net, sar, mwr, mode="eval").prob)
+    conn.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork on this platform")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_forked_child_rebuilds_the_branch_pool():
+    net = small_net(seed=44, mwr_factor=8)
+    sar, mwr = scene_arrays(np.random.default_rng(45), net.config, height=64, width=64)
+    expected = forward(net, sar, mwr, mode="eval").prob  # the parent's pool now exists
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=forward_in_child, args=(net, sar, mwr, send))
+    child.start()
+    try:
+        assert receive.poll(60), "the child's forward never returned"
+        npt.assert_array_equal(receive.recv(), expected)
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+
+
+@pytest.mark.parametrize("pass_name", ["forward", "backward"])
+@pytest.mark.parametrize("serial", [False, True])
+def test_branch_errors_reach_the_caller_unchanged(pass_name, serial, monkeypatch):
+    if serial:
+        serial_branches(monkeypatch)
+    net = small_net(seed=46, mwr_factor=8)
+    sar, mwr = scene_arrays(np.random.default_rng(47), net.config, height=64, width=64)
+    fp = forward(net, sar, mwr, mode="train", rng=SeededRng(1), keep_cache=True)
+    name = "batch_norm" if pass_name == "forward" else "batch_norm_backward"
+    original = getattr(ops, name)
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 5:
+            raise DegenerateStatisticsError("planted in a branch")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ops, name, failing)
+    with pytest.raises(DegenerateStatisticsError, match="planted in a branch"):
+        if pass_name == "forward":
+            forward(net, sar, mwr, mode="train", rng=SeededRng(1), keep_cache=True)
+        else:
+            backward(net, fp.cache, np.ones_like(fp.prob))

@@ -83,6 +83,26 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     npt.assert_array_equal(before.mixing_inputs, after.mixing_inputs)
 
 
+@pytest.mark.parametrize("config", [
+    ModelConfig.custom(np.int64(2), 2, dilation_rates=(2,), mwr_channels=np.int64(2),
+                       mwr_factor=2),
+    ModelConfig.custom(np.int32(2), np.int64(3), dilation_rates=(2, 4), mwr_channels=2,
+                       mwr_factor=np.int64(2), dropout_rate=np.float64(0.2)),
+    ModelConfig.for_variant("small", dropout_rate=np.float32(0.1)),
+])
+def test_checkpoint_round_trips_configs_given_numpy_scalars(tmp_path, config):
+    net = build(config, SeededRng(3))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(net, path)
+    loaded = load_checkpoint(path)
+    assert loaded.config == config
+    for field, value in config.to_dict().items():
+        assert type(value) in (str, int, float, tuple), field
+    for (name, original), (_, restored) in zip(named_parameters(net),
+                                               named_parameters(loaded)):
+        npt.assert_array_equal(original, restored, err_msg=name)
+
+
 def test_checkpoint_header_is_self_describing(tmp_path):
     net = toy_net()
     path = tmp_path / "model.ckpt"
