@@ -169,14 +169,13 @@ def _cmd_compare(args) -> int:
 def _cmd_plot_data(args) -> int:
     report_file = read_report(args.report)
     report = report_file.report
-    by_index = {e.input_index: e for e in report.entries}
     ranked = report_file.top_ranking or report.ranking[:14]
     lines = [
         f"# tool_version={__version__} report_sha256={sha256_file(args.report)}",
         "figure,rank,group,input_index,value",
     ]
     for rank, index in enumerate(ranked, start=1):
-        entry = by_index[index]
+        entry = report.entries[index]
         lines.append(f"ranked-z,{rank},{entry.group},{index},{entry.abs_z!r}")
     for rank, (group, total) in enumerate(ranked_groups(report), start=1):
         lines.append(f"group-sum,{rank},{group},,{total!r}")

@@ -13,6 +13,9 @@ it overstates confidence when nearby pixels are correlated, which is why the
 uncorrected form is the default.  Inputs with zero variance ("dead" nodes,
 the hallmark of a ReLU that never opens) carry no information and are
 excluded from rankings and group sums.
+
+A report stores only its per-input scores; the ranking, the per-group |z|
+sums and the dead-node list are derived from them, one definition each.
 """
 from __future__ import annotations
 
@@ -83,16 +86,32 @@ class ZScoreEntry:
 class AnalysisReport:
     """Scores for every mixing input of one trained model.
 
-    ``ranking`` lists live input indices by descending |z| (ties broken by
-    index), ``group_sums`` accumulates |z| per input group over live entries
-    only, and ``dead_nodes`` lists the excluded zero-variance inputs.
+    Only ``variant`` and ``entries`` are stored; entry i scores mixing input
+    i.  ``ranking``, ``group_sums`` and ``dead_nodes`` are derived from the
+    entries.
     """
 
     variant: str
     entries: tuple[ZScoreEntry, ...]
-    group_sums: dict[str, float]
-    ranking: tuple[int, ...]
-    dead_nodes: tuple[int, ...]
+
+    @property
+    def ranking(self) -> tuple[int, ...]:
+        """Live input indices by descending |z|, ties broken by index."""
+        live = sorted((e for e in self.entries if not e.dead),
+                      key=lambda e: (-e.abs_z, e.input_index))
+        return tuple(e.input_index for e in live)
+
+    @property
+    def group_sums(self) -> dict[str, float]:
+        """|z| summed over each group's live entries, in group order."""
+        names = dict.fromkeys(e.group for e in self.entries)
+        return {name: float(sum(e.abs_z for e in self.entries if e.group == name and not e.dead))
+                for name in names}
+
+    @property
+    def dead_nodes(self) -> tuple[int, ...]:
+        """Indices of the zero-variance inputs, which carry no score."""
+        return tuple(e.input_index for e in self.entries if e.dead)
 
 
 _DEAD_TOLERANCE = 1e-12
@@ -128,40 +147,21 @@ def analyze(net: FusionNetwork, stats: MixingStats, *,
             "upsampling; upsampled-grid spreads are biased low and inflate z-scores"
         )
 
-    group_of = {}
-    for group in cfg.groups:
-        for i in range(group.start, group.stop):
-            group_of[i] = group.name
-
     dead = set(detect_dead(stats, _DEAD_TOLERANCE))
     coeffs = net.mixing_coefficients
     entries = []
-    for i in range(d_total):
-        sigma = float(stats.sigma[i])
-        c = float(coeffs[i])
-        if i in dead:
-            z = None
-        elif sample_count is None:
-            z = zscore(c, sigma)
-        else:
-            z = zscore_corrected(c, sigma, sample_count)
-        entries.append(ZScoreEntry(i, group_of[i], c, sigma, z))
-
-    live = [e for e in entries if not e.dead]
-    ranking = tuple(
-        e.input_index for e in sorted(live, key=lambda e: (-e.abs_z, e.input_index))
-    )
-    group_sums = {}
     for group in cfg.groups:
-        members = [e for e in live if e.group == group.name]
-        group_sums[group.name] = float(sum(e.abs_z for e in members))
-    return AnalysisReport(
-        variant=cfg.variant,
-        entries=tuple(entries),
-        group_sums=group_sums,
-        ranking=ranking,
-        dead_nodes=tuple(sorted(dead)),
-    )
+        for i in range(group.start, group.stop):
+            sigma = float(stats.sigma[i])
+            c = float(coeffs[i])
+            if i in dead:
+                z = None
+            elif sample_count is None:
+                z = zscore(c, sigma)
+            else:
+                z = zscore_corrected(c, sigma, sample_count)
+            entries.append(ZScoreEntry(i, group.name, c, sigma, z))
+    return AnalysisReport(variant=cfg.variant, entries=tuple(entries))
 
 
 def top_k(report: AnalysisReport, k: int = 14) -> list[ZScoreEntry]:
@@ -172,14 +172,13 @@ def top_k(report: AnalysisReport, k: int = 14) -> list[ZScoreEntry]:
     """
     if k < 1:
         raise UsageError(f"k must be positive, got {k}")
-    by_index = {e.input_index: e for e in report.entries}
-    if k > len(report.ranking):
+    ranking = report.ranking
+    if k > len(ranking):
         warnings.warn(
-            f"requested top {k} but only {len(report.ranking)} live inputs exist",
+            f"requested top {k} but only {len(ranking)} live inputs exist",
             stacklevel=2,
         )
-        k = len(report.ranking)
-    return [by_index[i] for i in report.ranking[:k]]
+    return [report.entries[i] for i in ranking[:k]]
 
 
 def ranked_groups(report: AnalysisReport) -> list[tuple[str, float]]:
@@ -211,15 +210,9 @@ class ComparisonReport:
 
 
 def _ranked_keys(report: AnalysisReport, k: int) -> list[tuple[str, int]]:
-    by_index = {e.input_index: e for e in report.entries}
-    starts = {}
-    for entry in report.entries:
-        starts.setdefault(entry.group, entry.input_index)
-    keys = []
-    for i in report.ranking[:k]:
-        entry = by_index[i]
-        keys.append((entry.group, i - starts[entry.group]))
-    return keys
+    first = {e.group: e.input_index for e in reversed(report.entries)}
+    entries = [report.entries[i] for i in report.ranking[:k]]
+    return [(e.group, e.input_index - first[e.group]) for e in entries]
 
 
 def compare_variants(small: AnalysisReport, large: AnalysisReport, k: int = 14) -> ComparisonReport:

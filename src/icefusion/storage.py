@@ -31,6 +31,7 @@ from .errors import (
     UnsupportedVersionError,
     UsageError,
     _is_int,
+    _is_real,
 )
 from .importance import AnalysisReport, ComparisonReport, ZScoreEntry, ranked_groups
 from .network import (
@@ -208,6 +209,8 @@ def _read_container(path, schema: str) -> tuple[dict, dict[str, np.ndarray]]:
             arrays[record["name"]] = flat.reshape(shape).astype(np.float64, copy=True)
         except ValueError as exc:  # an empty array with a dimension numpy cannot hold
             raise FormatError(f"{path} array {record['name']!r} has shape {shape}: {exc}") from exc
+        if not np.isfinite(flat).all():
+            raise FormatError(f"{path} array {record['name']!r} holds a NaN or infinite value")
     return header, arrays
 
 
@@ -369,13 +372,20 @@ def _index(value) -> int:
     return value
 
 
+def _real(value) -> float:
+    """A report's score field: a finite JSON number, never a bool, string or NaN."""
+    if not _is_real(value):
+        raise ValueError(f"{value!r} is not a finite number")
+    return float(value)
+
+
 def _entry_from_json(data: dict) -> ZScoreEntry:
     return ZScoreEntry(
         input_index=_index(data["input_index"]),
         group=str(data["group"]),
-        coefficient=float(data["coefficient"]),
-        sigma=float(data["sigma"]),
-        z=None if data["z"] is None else float(data["z"]),
+        coefficient=_real(data["coefficient"]),
+        sigma=_real(data["sigma"]),
+        z=None if data["z"] is None else _real(data["z"]),
     )
 
 
@@ -432,6 +442,9 @@ def write_report(report_file: ReportFile, path, format: str = "json") -> None:
         doc = {
             **_envelope(_REPORT_SCHEMA, report_file.tool_version),
             **asdict(report),
+            "group_sums": report.group_sums,
+            "ranking": report.ranking,
+            "dead_nodes": report.dead_nodes,
             "provenance": report_file.provenance,
             "top_ranking": report_file.top_ranking,
         }
@@ -444,34 +457,27 @@ def write_report(report_file: ReportFile, path, format: str = "json") -> None:
 
 
 def read_report(path) -> ReportFile:
-    """Read back a JSON report.  CSV exports are not round-trippable."""
+    """Read back a JSON report, checked against its entries.  CSV exports cannot be."""
     path = Path(path)
     if path.suffix == ".csv":
         raise UsageError("CSV report exports cannot be read back; use the JSON report")
     doc = _read_document(path, _REPORT_SCHEMA)
     try:
-        entries = tuple(_entry_from_json(e) for e in doc["entries"])
-        sums = {str(k): float(v) for k, v in doc["group_sums"].items()}
-        report = AnalysisReport(
-            variant=str(doc["variant"]),
-            entries=entries,
-            # canonical JSON sorts the keys; restore group order from the entries
-            group_sums={e.group: sums[e.group] for e in entries},
-            ranking=tuple(map(_index, doc["ranking"])),
-            dead_nodes=tuple(map(_index, doc["dead_nodes"])),
-        )
+        report = AnalysisReport(variant=str(doc["variant"]),
+                                entries=tuple(_entry_from_json(e) for e in doc["entries"]))
+        stored = {"ranking": tuple(map(_index, doc["ranking"])),
+                  "dead_nodes": tuple(map(_index, doc["dead_nodes"])),
+                  "group_sums": {k: _real(v) for k, v in doc["group_sums"].items()}}
         top_ranking = tuple(map(_index, doc.get("top_ranking", [])))
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"report {path} is incomplete: {exc}") from exc
-    live = {e.input_index for e in entries if not e.dead}
-    dead = {e.input_index for e in entries} - live
-    for field, indices, allowed in (("ranking", report.ranking, live),
-                                    ("top_ranking", top_ranking, live),
-                                    ("dead_nodes", report.dead_nodes, dead)):
-        stray = sorted(set(indices) - allowed)
-        if stray:
-            raise FormatError(f"report {path}: {field} lists inputs {stray} "
-                              "that disagree with its entries")
+    if any(e.input_index != i for i, e in enumerate(report.entries)):
+        raise FormatError(f"report {path}: its entries are not listed by input index from 0")
+    for field, value in stored.items():
+        if value != getattr(report, field):
+            raise FormatError(f"report {path}: its {field} disagrees with its entries")
+    if top_ranking != report.ranking[:len(top_ranking)]:
+        raise FormatError(f"report {path}: top_ranking is not a prefix of its ranking")
     return ReportFile(
         report=report,
         provenance=doc.get("provenance", {}),

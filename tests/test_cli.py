@@ -13,6 +13,7 @@ from icefusion.rng import SeededRng
 from icefusion.storage import (
     ReportFile,
     groups_csv_path,
+    load_checkpoint,
     load_scene,
     read_manifest,
     read_report,
@@ -257,18 +258,25 @@ def test_malformed_files_exit_3(pipeline, capsys, tmp_path):
                        "--out", str(tmp_path / "m.ckpt"))
     assert code == 3 and err.startswith("E_FORMAT:") and err.count("\n") == 1
 
-    # report indices that name no entry
+    # report indices that name no entry, and a group sum its entries do not give
     doc = json.loads(pipeline["report"].read_text())
     stray_top = tmp_path / "stray-top.json"
     stray_top.write_text(json.dumps(dict(doc, top_ranking=[999])))
     stray_rank = tmp_path / "stray-rank.json"
     stray_rank.write_text(json.dumps(dict(doc, ranking=[999, *doc["ranking"]])))
+    edited_sum = tmp_path / "edited-sum.json"
+    sums = dict(doc["group_sums"], btemp=doc["group_sums"]["btemp"] + 1.0)
+    edited_sum.write_text(json.dumps(dict(doc, group_sums=sums)))
     good = str(pipeline["report"])
     for argv in (["plot-data", "--report", str(stray_top)],
+                 ["plot-data", "--report", str(edited_sum)],
                  ["compare", "--small", str(stray_rank), "--large", good],
-                 ["compare", "--small", good, "--large", str(stray_rank)]):
+                 ["compare", "--small", good, "--large", str(stray_rank)],
+                 ["compare", "--small", str(edited_sum), "--large", good],
+                 ["compare", "--small", good, "--large", str(edited_sum)]):
         code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
         assert code == 3 and err.startswith("E_FORMAT:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
     # a sealed scene whose sar lacks a channel its config promises
     scene, cfg = load_scene(pipeline["data"] / "scene-0000.scene")
@@ -292,6 +300,34 @@ def test_malformed_files_exit_3(pipeline, capsys, tmp_path):
     assert code == 3 and err.startswith("E_FORMAT:") and err.count("\n") == 1
 
 
+def test_non_finite_scene_exits_3(pipeline, capsys, tmp_path):
+    # one NaN radar pixel in a scene whose digests are sealed over it
+    scene, cfg = load_scene(pipeline["data"] / "scene-0000.scene")
+    scene.sar[0, 3, 5] = np.nan
+    data = tmp_path / "nan-data"
+    save_scene(scene, cfg, data / "scene-0000.scene")
+    write_manifest(data, ["scene-0000.scene"], generator={}, master_seed=0)
+    for argv in (["analyze", "--ckpt", str(pipeline["ckpt"]), "--data", str(data)],
+                 ["train", "--data", str(data), "--variant", "small", "--epochs", "1"]):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert code == 3 and out == "" and err.count("\n") == 1
+        assert err.startswith("E_FORMAT:") and "'sar'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_checkpoint_exits_3(pipeline, capsys, tmp_path):
+    # one infinite mixing coefficient in a checkpoint sealed over it
+    net = load_checkpoint(pipeline["ckpt"])
+    net.mixing_coefficients[4] = np.inf
+    ckpt = tmp_path / "inf.ckpt"
+    save_checkpoint(net, ckpt, train_seed=1)
+    code, out, err = run(capsys, "analyze", "--ckpt", str(ckpt), "--data",
+                         str(pipeline["data"]), "--out", str(tmp_path / "r.json"))
+    assert code == 3 and out == "" and err.count("\n") == 1
+    assert err.startswith("E_FORMAT:")
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_tied_groups_rank_in_group_order(capsys, tmp_path):
     names = ["scale-0", "scale-2", "scale-4", "scale-8", "scale-16", "btemp"]
     sums = [1.0, 2.0, 1.0, 2.0, 1.0, 1.0]
@@ -300,8 +336,7 @@ def test_tied_groups_rank_in_group_order(capsys, tmp_path):
     def tied(variant):
         entries = tuple(ZScoreEntry(i, name, total, 1.0, total)
                         for i, (name, total) in enumerate(zip(names, sums)))
-        ranking = tuple(sorted(range(6), key=lambda i: (-sums[i], i)))
-        return AnalysisReport(variant, entries, dict(zip(names, sums)), ranking, ())
+        return AnalysisReport(variant, entries)
 
     comparison = compare_variants(tied("small"), tied("large"))
     for ranks in (comparison.group_ranks_small, comparison.group_ranks_large):

@@ -239,20 +239,11 @@ def variant_report(variant, group_sums):
     """Minimal synthetic report: one leading entry carries each group's sum."""
     widths = ModelConfig.for_variant(variant).groups
     entries = []
-    ranking = []
     for group in widths:
         for i in range(group.start, group.stop):
             c = group_sums[group.name] if i == group.start else 0.0
             entries.append(ZScoreEntry(i, group.name, c, 1.0, c))
-    order = sorted(entries, key=lambda e: (-e.abs_z, e.input_index))
-    ranking = tuple(e.input_index for e in order)
-    return AnalysisReport(
-        variant=variant,
-        entries=tuple(entries),
-        group_sums=dict(group_sums),
-        ranking=ranking,
-        dead_nodes=(),
-    )
+    return AnalysisReport(variant=variant, entries=tuple(entries))
 
 
 BASE_SUMS = {"scale-0": 5.0, "scale-2": 4.0, "scale-4": 3.0,

@@ -367,6 +367,9 @@ def test_report_json_round_trip(tmp_path):
     assert restored.provenance == native_provenance()
     assert restored.top_ranking == report.ranking[:3]
     assert restored.tool_version
+    again = tmp_path / "again.json"
+    write_report(restored, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_report_csv_export(tmp_path):
@@ -459,13 +462,29 @@ def test_report_formats_and_refusals(tmp_path):
     ("dead_nodes", [3.0]),
     ("input_index", 1.9),
     ("input_index", "1"),
+    # Scores are finite JSON numbers.
+    ("z", "nan"),
+    ("sigma", "inf"),
+    ("coefficient", float("nan")),
+    ("z", float("-inf")),
+    ("sigma", True),
+    # The stored ranking, group sums and dead nodes are the ones the entries
+    # give; the ranking is (5, 2, 1, 0, 4) with input 3 dead.
+    ("group_sums", {"btemp": 4.5}),
+    ("ranking", [2, 5, 1, 0, 4]),
+    ("ranking", [5, 2, 1, 0]),
+    ("dead_nodes", []),
+    ("top_ranking", [2, 1]),
+    ("input_index", 2),
 ])
 def test_report_indices_must_name_entries(tmp_path, field, indices):
     path = tmp_path / "report.json"
     write_report(ReportFile(report=hand_report(dead_index=3), provenance={}), path)
     doc = json.loads(path.read_text())
-    if field == "input_index":
-        doc["entries"][1]["input_index"] = indices
+    if field in ("input_index", "coefficient", "sigma", "z"):
+        doc["entries"][1][field] = indices
+    elif field == "group_sums":
+        doc[field].update(indices)
     else:
         doc[field] = indices
     path.write_text(json.dumps(doc))
@@ -478,12 +497,7 @@ def test_numbers_survive_json_exactly(tmp_path):
     entries = tuple(
         ZScoreEntry(i, "btemp", value, 1.0, value) for i, value in enumerate(values)
     )
-    report = AnalysisReport(
-        variant="small", entries=entries,
-        group_sums={"btemp": float(sum(abs(v) for v in values))},
-        ranking=tuple(np.argsort([-abs(v) for v in values]).tolist()),
-        dead_nodes=(),
-    )
+    report = AnalysisReport(variant="small", entries=entries)
     path = tmp_path / "report.json"
     write_report(ReportFile(report=report, provenance=native_provenance()), path)
     restored = read_report(path).report
@@ -494,9 +508,7 @@ def test_numbers_survive_json_exactly(tmp_path):
 
 def test_write_comparison(tmp_path):
     def tagged(report, variant):
-        return AnalysisReport(variant=variant, entries=report.entries,
-                              group_sums=report.group_sums, ranking=report.ranking,
-                              dead_nodes=report.dead_nodes)
+        return AnalysisReport(variant=variant, entries=report.entries)
 
     base = hand_report()
     comparison = compare_variants(tagged(base, "small"), tagged(base, "large"), k=6)

@@ -2,11 +2,13 @@
 
 Each example takes a valid checkpoint, scene or report and mutates it: a
 header leaf (``model_config`` and ``scene_config`` leaves and the array
-records included) is replaced by an arbitrary JSON value or deleted, and the
-payload bytes of a container are cut, flipped or extended.  Half of the
+records included) is replaced by an arbitrary JSON value or deleted, the
+payload bytes of a container are cut, flipped, extended or overwritten with
+a NaN or infinity, and a report score may be set to one.  Half of the
 container examples then re-seal the payload length and digest, so the damage
-reaches the parsing behind the integrity check.  The runs are derandomized,
-so the suite sees the same examples every time.
+reaches the parsing behind the integrity check.  Whatever still loads must
+hold only finite numbers.  The runs are derandomized, so the suite sees the
+same examples every time.
 """
 import functools
 import hashlib
@@ -23,7 +25,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from icefusion.errors import IceFusionError  # noqa: E402
 from icefusion.importance import analyze  # noqa: E402
-from icefusion.network import ModelConfig, build  # noqa: E402
+from icefusion.network import ModelConfig, build, named_parameters, named_state  # noqa: E402
 from icefusion.rng import SeededRng  # noqa: E402
 from icefusion.scenes import SceneConfig, generate  # noqa: E402
 from icefusion.storage import (  # noqa: E402
@@ -53,6 +55,7 @@ _VALUE = st.recursive(
                                                                 max_size=3),
     max_leaves=6,
 )
+_NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
 
 
 def _paths(node, prefix=()):
@@ -92,6 +95,9 @@ def _mutate_payload(data, payload):
             payload[data.draw(st.integers(0, len(payload) - 1))] ^= data.draw(st.integers(1, 255))
         elif action == "extend":
             payload += data.draw(st.binary(min_size=1, max_size=16))
+    if len(payload) >= 8 and data.draw(st.booleans()):
+        at = 8 * data.draw(st.integers(0, len(payload) // 8 - 1))
+        payload[at:at + 8] = np.array([data.draw(_NON_FINITE)], dtype="<f8").tobytes()
     return bytes(payload)
 
 
@@ -112,13 +118,26 @@ def _fuzz_container(data, blob, keys=None):
 
 
 def _assert_loads_or_exits_3(load, blob, suffix):
+    """What ``load`` makes of the damaged ``blob``, or None when it refused it with exit 3."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"damaged{suffix}"
         path.write_bytes(blob)
         try:
-            load(path)
+            return load(path)
         except IceFusionError as exc:
             assert exc.exit_code == 3, f"{type(exc).__name__}: {exc}"
+            return None
+
+
+def _assert_finite_arrays(suffix, loaded):
+    if loaded is None:
+        return
+    if suffix == ".ckpt":
+        arrays = [value for _, value in named_parameters(loaded) + named_state(loaded)]
+    else:
+        scene, _ = loaded
+        arrays = [scene.sar, scene.mwr, scene.label]
+    assert all(np.isfinite(value).all() for value in arrays)
 
 
 @functools.lru_cache(maxsize=None)
@@ -151,7 +170,8 @@ _CONTAINERS = pytest.mark.parametrize("suffix, load, config_key", [
 @_FUZZ
 @given(data=st.data())
 def test_damaged_containers_load_or_exit_3(suffix, load, config_key, data):
-    _assert_loads_or_exits_3(load, _fuzz_container(data, _valid_files()[suffix]), suffix)
+    loaded = _assert_loads_or_exits_3(load, _fuzz_container(data, _valid_files()[suffix]), suffix)
+    _assert_finite_arrays(suffix, loaded)
 
 
 @_CONTAINERS
@@ -166,5 +186,14 @@ def test_damaged_configs_load_or_exit_3(suffix, load, config_key, data):
 @_FUZZ
 @given(data=st.data())
 def test_damaged_reports_load_or_exit_3(data):
-    doc = _mutate_document(data, json.loads(_valid_files()[".json"]), data.draw(st.integers(1, 3)))
-    _assert_loads_or_exits_3(read_report, json.dumps(doc).encode("utf-8"), ".json")
+    doc = json.loads(_valid_files()[".json"])
+    if data.draw(st.booleans()):
+        entry = data.draw(st.sampled_from(doc["entries"]))
+        field = data.draw(st.sampled_from(["coefficient", "sigma", "z"]))
+        entry[field] = data.draw(_NON_FINITE | st.sampled_from(["nan", "-inf"]))
+    doc = _mutate_document(data, doc, data.draw(st.integers(1, 3)))
+    loaded = _assert_loads_or_exits_3(read_report, json.dumps(doc).encode("utf-8"), ".json")
+    if loaded is not None:
+        scores = [(e.coefficient, e.sigma, 0.0 if e.z is None else e.z)
+                  for e in loaded.report.entries]
+        assert np.isfinite(scores).all()
