@@ -4,6 +4,8 @@ import math
 import multiprocessing
 import sys
 import threading
+import tracemalloc
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -429,8 +431,11 @@ def test_backward_rejects_bad_caches():
     with pytest.raises(DimensionError):
         backward(net, fp.cache, np.zeros((1, 3, 3)))
     grads = backward(net, fp.cache, np.zeros_like(fp.prob))
+    with pytest.raises(UsageError, match="consumed"):
+        backward(net, fp.cache, np.zeros_like(fp.prob))
+    fp = forward(net, sar, mwr, mode="train", rng=rng, keep_cache=True)
     sgd_step(net, grads, 0.1)  # bumps the version: cache is now stale
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="stale"):
         backward(net, fp.cache, np.zeros_like(fp.prob))
     other = build(net.config, SeededRng(78))
     with pytest.raises(UsageError):
@@ -446,8 +451,15 @@ def serial_branches(monkeypatch):
     monkeypatch.setattr(network_mod, "_POOL_MIN_PIXELS", 10**9)
 
 
+BRANCH_RECORDS = ("conv_inputs", "relu_masks", "drop_scales")
+
+
 def run_step(config, monkeypatch, serial):
-    """Train forward with cache, backward and an eval forward on one 64x64 scene."""
+    """Train forward with cache, backward and an eval forward on one 64x64 scene.
+
+    ``backward`` consumes the cache, so the branch records are copied out
+    before it runs.
+    """
     with monkeypatch.context() as patch:
         if serial:
             serial_branches(patch)
@@ -455,20 +467,24 @@ def run_step(config, monkeypatch, serial):
         sar, mwr = scene_arrays(np.random.default_rng(32), config, height=64, width=64)
         label = (np.random.default_rng(33).random((1, 64, 64)) > 0.5).astype(np.float64)
         train_pass = forward(net, sar, mwr, mode="train", rng=SeededRng(34), keep_cache=True)
+        records = [{name: list(getattr(bc, name)) for name in BRANCH_RECORDS}
+                   for bc in train_pass.cache.branches]
         _, grad_logit = bce_loss(train_pass.prob, label)
         grads = backward(net, train_pass.cache, grad_logit)
         eval_pass = forward(net, sar, mwr, mode="eval")
-    return net, train_pass, grads, eval_pass
+    return net, train_pass, records, grads, eval_pass
 
 
 def assert_steps_equal(serial_step, pooled_step):
-    nets, trains, grads, evals = zip(serial_step, pooled_step)
+    nets, trains, records, grads, evals = zip(serial_step, pooled_step)
     for fp in (trains, evals):
         npt.assert_array_equal(fp[0].prob, fp[1].prob)
         npt.assert_array_equal(fp[0].mixing_inputs, fp[1].mixing_inputs)
-    for serial, pooled in zip(trains[0].cache.branches, trains[1].cache.branches):
-        for name in ("conv_inputs", "relu_masks", "drop_scales"):
-            for a, b in zip(getattr(serial, name), getattr(pooled, name)):
+    assert len(records[0]) == len(records[1]) == len(nets[0].branches)
+    for serial, pooled in zip(*records):
+        for name in BRANCH_RECORDS:
+            assert len(serial[name]) == len(pooled[name]) > 0, name
+            for a, b in zip(serial[name], pooled[name]):
                 npt.assert_array_equal(a, b, err_msg=name)
     assert list(grads[0]) == list(grads[1])
     for name in grads[0]:
@@ -605,3 +621,43 @@ def test_branch_errors_reach_the_caller_unchanged(pass_name, serial, monkeypatch
             forward(net, sar, mwr, mode="train", rng=SeededRng(1), keep_cache=True)
         else:
             backward(net, fp.cache, np.ones_like(fp.prob))
+    if pass_name == "backward":
+        # The failed backward took the branch records; the cache is spent.
+        with pytest.raises(UsageError, match="consumed"):
+            backward(net, fp.cache, np.ones_like(fp.prob))
+
+
+@pytest.mark.parametrize("serial", [False, True])
+def test_backward_frees_every_branch_activation(serial, monkeypatch):
+    if serial:
+        serial_branches(monkeypatch)
+    net = small_net(seed=48, mwr_factor=8)
+    sar, mwr = scene_arrays(np.random.default_rng(49), net.config, height=64, width=64)
+    fp = forward(net, sar, mwr, mode="train", rng=SeededRng(3), keep_cache=True)
+    kept = [record for bc in fp.cache.branches for record in
+            (*bc.conv_inputs, *bc.relu_masks, *(xhat for xhat, _ in bc.norm_caches))]
+    assert len(kept) == len(net.branches) * 3 * (2 + 1 + 1)
+    refs = [weakref.ref(record) for record in kept]
+    del kept
+    backward(net, fp.cache, np.ones_like(fp.prob))
+    assert fp.cache.branches is None
+    assert [ref for ref in refs if ref() is not None] == []
+    assert fp.cache.stem_inputs and fp.cache.mixing_inputs is fp.mixing_inputs
+
+
+def test_uncached_forwards_keep_no_activation(monkeypatch):
+    # An uncached branch keeps nothing past the op that reads it, so the
+    # serial eval forward of a large 64x64 net peaks at about 2x its mixing
+    # inputs (4.6 MB); keeping each branch's six conv inputs until the
+    # branch returned peaked at about 3.1x.
+    serial_branches(monkeypatch)
+    net = build(ModelConfig.for_variant("large", mwr_factor=8), SeededRng(31))
+    sar, mwr = scene_arrays(np.random.default_rng(32), net.config, height=64, width=64)
+    mixing_bytes = net.config.mixing_width * 64 * 64 * 8
+    tracemalloc.start()
+    try:
+        forward(net, sar, mwr, mode="eval")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * mixing_bytes, peak / mixing_bytes
