@@ -5,123 +5,26 @@ radar imagery with coarse radiometer channels through a per-pixel logistic
 mixing layer, then scores every mixing input by its coefficient divided by
 its spread.  A synthetic scene generator with controllable information
 content makes those scores testable against known ground truth.
+
+Each public name is declared once, in its module's ``__all__``.  The package
+root re-exports every name in the ``__all__`` of ``errors``, ``importance``,
+``network``, ``rng``, ``scenes``, ``storage`` and ``training``, plus
+``__version__``; its own ``__all__`` is those lists joined.  The numerical
+kernels (``ops``) and the command line (``cli``) are reached only through
+their modules.
 """
-from .errors import (
-    ConfigurationError,
-    DataError,
-    DeadNodeError,
-    DegenerateStatisticsError,
-    DimensionError,
-    FormatError,
-    IceFusionError,
-    IntegrityError,
-    ProvenanceError,
-    UnsupportedVersionError,
-    UsageError,
-)
-from .importance import (
-    AnalysisReport,
-    ComparisonReport,
-    ZScoreEntry,
-    analyze,
-    compare_variants,
-    detect_dead,
-    top_k,
-    zscore,
-    zscore_corrected,
-)
-from .network import (
-    FusionNetwork,
-    InputGroup,
-    ModelConfig,
-    backward,
-    build,
-    forward,
-    named_parameters,
-    named_state,
-)
-from .rng import SeededRng
-from .scenes import Scene, SceneConfig, generate, ice_fraction_coarse
-from .storage import (
-    ReportFile,
-    load_checkpoint,
-    load_dataset,
-    load_scene,
-    read_manifest,
-    read_report,
-    save_checkpoint,
-    save_scene,
-    write_comparison,
-    write_manifest,
-    write_report,
-)
-from .training import (
-    MixingStats,
-    TrainConfig,
-    bce_loss,
-    collect_mixing_stats,
-    sgd_step,
-    train,
-)
+from . import errors, importance, network, rng, scenes, storage, training
+from .errors import *
+from .importance import *
+from .network import *
+from .rng import *
+from .scenes import *
+from .storage import *
+from .training import *
 from .version import __version__
 
-__all__ = [
-    "__version__",
-    # errors
-    "IceFusionError",
-    "UsageError",
-    "ConfigurationError",
-    "DimensionError",
-    "DataError",
-    "DegenerateStatisticsError",
-    "FormatError",
-    "IntegrityError",
-    "UnsupportedVersionError",
-    "DeadNodeError",
-    "ProvenanceError",
-    # model
-    "ModelConfig",
-    "FusionNetwork",
-    "InputGroup",
-    "build",
-    "forward",
-    "backward",
-    "named_parameters",
-    "named_state",
-    # training
-    "TrainConfig",
-    "MixingStats",
-    "bce_loss",
-    "sgd_step",
-    "train",
-    "collect_mixing_stats",
-    # importance
-    "ZScoreEntry",
-    "AnalysisReport",
-    "ComparisonReport",
-    "zscore",
-    "zscore_corrected",
-    "analyze",
-    "top_k",
-    "detect_dead",
-    "compare_variants",
-    # scenes
-    "SceneConfig",
-    "Scene",
-    "generate",
-    "ice_fraction_coarse",
-    # storage
-    "ReportFile",
-    "save_checkpoint",
-    "load_checkpoint",
-    "save_scene",
-    "load_scene",
-    "write_manifest",
-    "read_manifest",
-    "load_dataset",
-    "write_report",
-    "read_report",
-    "write_comparison",
-    # rng
-    "SeededRng",
+__all__ = ["__version__"] + [
+    name
+    for module in (errors, importance, network, rng, scenes, storage, training)
+    for name in module.__all__
 ]

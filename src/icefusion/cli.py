@@ -14,7 +14,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from .errors import IceFusionError, UsageError
-from .importance import analyze, compare_variants, ranked_groups, top_k
+from .importance import DEFAULT_TOP_K, analyze, compare_variants, ranked_groups, top_k
 from .network import ModelConfig, build
 from .rng import SeededRng
 from .scenes import SceneConfig, generate
@@ -169,7 +169,7 @@ def _cmd_compare(args) -> int:
 def _cmd_plot_data(args) -> int:
     report_file = read_report(args.report)
     report = report_file.report
-    ranked = report_file.top_ranking or report.ranking[:14]
+    ranked = report_file.top_ranking or report.ranking[:DEFAULT_TOP_K]
     lines = [
         f"# tool_version={__version__} report_sha256={sha256_file(args.report)}",
         "figure,rank,group,input_index,value",
@@ -227,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     an.add_argument("--ckpt", required=True)
     an.add_argument("--data", required=True)
     an.add_argument("--out", required=True)
-    an.add_argument("--top-k", type=int, default=14)
+    an.add_argument("--top-k", type=int, default=DEFAULT_TOP_K)
     an.add_argument("--format", choices=["json", "csv"], default="json")
     an.add_argument("--eq1", action="store_true",
                     help="use the sample-size corrected score")
@@ -243,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--small", required=True)
     cp.add_argument("--large", required=True)
     cp.add_argument("--out", required=True)
-    cp.add_argument("--top-k", type=int, default=14)
+    cp.add_argument("--top-k", type=int, default=DEFAULT_TOP_K)
     cp.set_defaults(handler=_cmd_compare)
 
     pl = sub.add_parser("plot-data", help="export a plot-ready long table")

@@ -11,6 +11,20 @@ import math
 
 import numpy as np
 
+__all__ = [
+    "IceFusionError",
+    "UsageError",
+    "ConfigurationError",
+    "DimensionError",
+    "DataError",
+    "DegenerateStatisticsError",
+    "FormatError",
+    "IntegrityError",
+    "UnsupportedVersionError",
+    "DeadNodeError",
+    "ProvenanceError",
+]
+
 
 class IceFusionError(Exception):
     """Base class for all errors raised by this package."""

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DeadNodeError, ProvenanceError, UsageError
+from .errors import DataError, DeadNodeError, ProvenanceError, UsageError, _is_int, _is_real
 from .network import GROUP_BTEMP, FusionNetwork
 from .training import NATIVE_GRID, MixingStats
 
@@ -40,11 +40,24 @@ __all__ = [
     "detect_dead",
     "compare_variants",
     "ranked_groups",
+    "DEFAULT_TOP_K",
 ]
+
+# How many top entries a ranking shows unless told otherwise.
+DEFAULT_TOP_K = 14
+
+
+def _check_count(name: str, value) -> None:
+    if not _is_int(value) or value < 1:
+        raise UsageError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 def zscore(coefficient: float, sigma: float) -> float:
     """Coefficient scaled by its input's standard deviation: c / sigma."""
+    if not (_is_real(coefficient) and _is_real(sigma)):
+        raise DataError(
+            f"coefficient and sigma must be finite reals, got {coefficient!r} and {sigma!r}"
+        )
     if sigma < 0.0:
         raise DataError(f"sigma must be non-negative, got {sigma}")
     if sigma == 0.0:
@@ -58,8 +71,7 @@ def zscore_corrected(coefficient: float, sigma: float, n: int) -> float:
     Computed as sqrt(n) * zscore(c, sigma) so the scaling relation to the
     uncorrected form holds exactly, including the n = 1 degeneracy.
     """
-    if n < 1:
-        raise UsageError(f"sample count must be at least 1, got {n}")
+    _check_count("sample count", n)
     return math.sqrt(n) * zscore(coefficient, sigma)
 
 
@@ -119,8 +131,8 @@ _DEAD_TOLERANCE = 1e-12
 
 def detect_dead(stats: MixingStats, tolerance: float = 0.0) -> list[int]:
     """Indices whose standard deviation is within ``tolerance`` of zero."""
-    if tolerance < 0.0:
-        raise UsageError(f"tolerance must be non-negative, got {tolerance}")
+    if not _is_real(tolerance) or tolerance < 0.0:
+        raise UsageError(f"tolerance must be a non-negative finite real, got {tolerance!r}")
     return [int(i) for i in np.flatnonzero(stats.sigma <= tolerance)]
 
 
@@ -141,6 +153,8 @@ def analyze(net: FusionNetwork, stats: MixingStats, *,
         raise UsageError(
             f"stats cover {stats.sigma.shape[0]} inputs but the model has {d_total}"
         )
+    if sample_count is not None:
+        _check_count("sample count", sample_count)
     if any(p != NATIVE_GRID for p in stats.btemp_provenance):
         raise ProvenanceError(
             "btemp statistics must be pooled on the native coarse grid before "
@@ -164,14 +178,13 @@ def analyze(net: FusionNetwork, stats: MixingStats, *,
     return AnalysisReport(variant=cfg.variant, entries=tuple(entries))
 
 
-def top_k(report: AnalysisReport, k: int = 14) -> list[ZScoreEntry]:
+def top_k(report: AnalysisReport, k: int = DEFAULT_TOP_K) -> list[ZScoreEntry]:
     """The ``k`` highest-|z| live entries, most important first.
 
     Asking for more entries than are alive returns all live entries and
     issues a warning.
     """
-    if k < 1:
-        raise UsageError(f"k must be positive, got {k}")
+    _check_count("k", k)
     ranking = report.ranking
     if k > len(ranking):
         warnings.warn(
@@ -215,14 +228,14 @@ def _ranked_keys(report: AnalysisReport, k: int) -> list[tuple[str, int]]:
     return [(e.group, e.input_index - first[e.group]) for e in entries]
 
 
-def compare_variants(small: AnalysisReport, large: AnalysisReport, k: int = 14) -> ComparisonReport:
+def compare_variants(small: AnalysisReport, large: AnalysisReport,
+                     k: int = DEFAULT_TOP_K) -> ComparisonReport:
     """Contrast the small and large variants' importance structure."""
     if small.variant != "small" or large.variant != "large":
         raise UsageError(
             f"expected a small and a large report, got {small.variant!r} and {large.variant!r}"
         )
-    if k < 1:
-        raise UsageError(f"k must be positive, got {k}")
+    _check_count("k", k)
     ranks_small = _group_ranks(small)
     ranks_large = _group_ranks(large)
 

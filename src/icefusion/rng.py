@@ -19,6 +19,8 @@ import numpy as np
 
 from .errors import ConfigurationError, _is_int
 
+__all__ = ["SeededRng"]
+
 _MAX_SEED = 2**64
 
 

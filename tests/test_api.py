@@ -1,0 +1,110 @@
+"""Public surface: the package root's exports and the command line defaults."""
+import dataclasses
+import importlib
+
+import pytest
+
+import icefusion
+from icefusion import cli
+from icefusion.network import ModelConfig
+from icefusion.scenes import SceneConfig
+from icefusion.training import TrainConfig
+
+# Modules whose ``__all__`` the package root re-exports; ``ops`` and ``cli``
+# stay out of it.
+ROOT_MODULES = ("errors", "importance", "network", "rng", "scenes", "storage", "training")
+
+# What ``icefusion`` exported before the root was built from the modules'
+# ``__all__``, with the module that defines each name.  Every one must keep
+# resolving to the same object.
+PINNED_EXPORTS = {
+    "version": ["__version__"],
+    "errors": [
+        "IceFusionError", "UsageError", "ConfigurationError", "DimensionError", "DataError",
+        "DegenerateStatisticsError", "FormatError", "IntegrityError",
+        "UnsupportedVersionError", "DeadNodeError", "ProvenanceError",
+    ],
+    "network": [
+        "ModelConfig", "FusionNetwork", "InputGroup", "build", "forward", "backward",
+        "named_parameters", "named_state",
+    ],
+    "training": [
+        "TrainConfig", "MixingStats", "bce_loss", "sgd_step", "train", "collect_mixing_stats",
+    ],
+    "importance": [
+        "ZScoreEntry", "AnalysisReport", "ComparisonReport", "zscore", "zscore_corrected",
+        "analyze", "top_k", "detect_dead", "compare_variants",
+    ],
+    "scenes": ["SceneConfig", "Scene", "generate", "ice_fraction_coarse"],
+    "storage": [
+        "ReportFile", "save_checkpoint", "load_checkpoint", "save_scene", "load_scene",
+        "write_manifest", "read_manifest", "load_dataset", "write_report", "read_report",
+        "write_comparison",
+    ],
+    "rng": ["SeededRng"],
+}
+
+
+def submodule(name):
+    return importlib.import_module(f"icefusion.{name}")
+
+
+def test_pinned_exports_resolve_to_the_same_objects():
+    pinned = [(module, name) for module, names in PINNED_EXPORTS.items() for name in names]
+    assert len(pinned) == 51
+    for module, name in pinned:
+        assert name in icefusion.__all__
+        assert getattr(icefusion, name) is getattr(submodule(module), name)
+
+
+@pytest.mark.parametrize("module", ROOT_MODULES)
+def test_module_all_is_reachable_from_the_root(module):
+    for name in submodule(module).__all__:
+        assert name in icefusion.__all__
+        assert getattr(icefusion, name) is getattr(submodule(module), name)
+
+
+def test_root_all_is_the_module_lists_joined_without_repeats():
+    joined = ["__version__"] + [n for m in ROOT_MODULES for n in submodule(m).__all__]
+    assert icefusion.__all__ == joined
+    assert len(set(joined)) == len(joined)
+
+
+def field_defaults(cls, skip=()):
+    return {f.name: f.default for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING and f.name not in skip}
+
+
+def test_gen_data_defaults_match_scene_config(tmp_path, monkeypatch):
+    built = []
+    real_generate = cli.generate
+
+    def recording_generate(cfg):
+        built.append(cfg)
+        return real_generate(cfg)
+
+    monkeypatch.setattr(cli, "generate", recording_generate)
+    assert cli.main(["gen-data", "--out", str(tmp_path), "--scenes", "1"]) == 0
+    # The scene seed is drawn from the master --seed, so it has no default to match.
+    want = field_defaults(SceneConfig, skip={"seed"})
+    assert {name: getattr(built[0], name) for name in want} == want
+
+
+def test_train_defaults_match_model_and_train_config(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    assert cli.main(["gen-data", "--out", str(data), "--scenes", "1"]) == 0
+    built = {}
+
+    def fake_train(net, scenes, cfg):
+        built.update(model=net.config, train=cfg)
+        return net, []
+
+    monkeypatch.setattr(cli, "train", fake_train)
+    assert cli.main(["train", "--data", str(data), "--variant", "small",
+                     "--out", str(tmp_path / "small.ckpt")]) == 0
+    # The dataset was generated with the gen-data defaults, which match the
+    # ModelConfig defaults for the radiometer channel count and grid factor.
+    want = field_defaults(ModelConfig)
+    assert {name: getattr(built["model"], name) for name in want} == want
+    want = field_defaults(TrainConfig)
+    assert {name: getattr(built["train"], name) for name in want} == want

@@ -54,6 +54,24 @@ def test_zscore_rejects_degenerate_sigma():
         zscore(1.0, -0.1)
 
 
+@pytest.mark.parametrize("coefficient, sigma", [
+    (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (1.0, math.nan), (1.0, math.inf),
+])
+def test_zscore_refuses_non_finite_input(coefficient, sigma):
+    with pytest.raises(DataError):
+        zscore(coefficient, sigma)
+
+
+# Counts that are not integers of at least 1; True is a bool, not the count 1.
+BAD_COUNTS = [math.nan, math.inf, 2.5, True, 0]
+
+
+@pytest.mark.parametrize("n", BAD_COUNTS)
+def test_zscore_corrected_refuses_bad_sample_count(n):
+    with pytest.raises(UsageError):
+        zscore_corrected(1.0, 1.0, n)
+
+
 def test_zscore_corrected_arithmetic():
     assert zscore_corrected(0.7, 1.3, 1) == zscore(0.7, 1.3)
     assert zscore_corrected(1.0, 1.0, 4) == 2.0
@@ -133,6 +151,19 @@ def test_analyze_validation():
         analyze(net, unit_stats(6, 1, provenance=UPSAMPLED_GRID))
 
 
+@pytest.mark.parametrize("n", BAD_COUNTS)
+def test_analyze_refuses_bad_sample_count(n):
+    net = one_per_group_net([1.0] * 6)
+    with pytest.raises(UsageError):
+        analyze(net, unit_stats(6, 1), sample_count=n)
+
+
+def test_analyze_refuses_bad_sample_count_with_every_input_dead():
+    net = one_per_group_net([1.0] * 6)
+    with pytest.raises(UsageError):
+        analyze(net, unit_stats(6, 1, sigma=np.zeros(6)), sample_count=math.nan)
+
+
 def test_analyze_is_pure():
     net = one_per_group_net([0.3, -0.6, 0.9, -1.2, 1.5, -1.8])
     stats = unit_stats(6, 1, sigma=[1.0, 0.5, 2.0, 0.25, 4.0, 1.0])
@@ -181,6 +212,13 @@ def test_top_k_selection():
         top_k(report, 0)
 
 
+@pytest.mark.parametrize("k", [1.5, True])
+def test_top_k_refuses_non_integer_k(k):
+    report = analyze(one_per_group_net([1.0] * 6), unit_stats(6, 1))
+    with pytest.raises(UsageError):
+        top_k(report, k)
+
+
 def test_top_k_truncates_past_live_entries_with_warning():
     net = one_per_group_net([3.0, -2.0, 1.0, 0.5, -0.25, 4.0])
     sigma = np.ones(6)
@@ -198,8 +236,10 @@ def test_detect_dead_thresholding():
     assert detect_dead(stats) == [1]
     assert detect_dead(stats, tolerance=1e-12) == [1, 3]
     assert detect_dead(unit_stats(6, 1)) == []
-    with pytest.raises(UsageError):
-        detect_dead(stats, tolerance=-1e-9)
+    # A NaN tolerance would flag nothing and True would act as 1.0.
+    for bad in (-1e-9, math.nan, math.inf, True):
+        with pytest.raises(UsageError):
+            detect_dead(stats, tolerance=bad)
 
 
 def test_relu_mixing_dead_channel_is_flagged_and_excluded():
@@ -281,3 +321,11 @@ def test_compare_rejects_same_variant():
         compare_variants(large, small)
     with pytest.raises(UsageError):
         compare_variants(small, large, k=0)
+
+
+@pytest.mark.parametrize("k", [1.5, True])
+def test_compare_refuses_non_integer_k(k):
+    small = variant_report("small", BASE_SUMS)
+    large = variant_report("large", BASE_SUMS)
+    with pytest.raises(UsageError):
+        compare_variants(small, large, k=k)
