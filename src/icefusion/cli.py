@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .errors import IceFusionError, UsageError
 from .importance import DEFAULT_TOP_K, analyze, compare_variants, ranked_groups, top_k
-from .network import ModelConfig, build
+from .network import _MIXING_ACTIVATIONS, _UPSAMPLE_MODES, ModelConfig, build
 from .rng import SeededRng
 from .scenes import SceneConfig, generate
 from .storage import (
@@ -38,23 +38,22 @@ from .version import __version__
 
 __all__ = ["main", "entry"]
 
+# gen-data's scene dials: each flag, by its argparse dest, and the SceneConfig
+# field it fills and takes its default from.
+_SCENE_DIALS = {
+    "height": "height", "width": "width",
+    "mwr_factor": "mwr_factor", "mwr_channels": "mwr_channels",
+    "sar_ambiguity": "sar_ambiguity", "mwr_noise": "mwr_noise",
+    "informative_fraction": "mwr_informative_fraction",
+    "blob_scale": "blob_scale", "edge_amplitude": "edge_amplitude",
+}
+
 
 def _cmd_gen_data(args) -> int:
     if args.scenes < 1:
         raise UsageError(f"--scenes must be at least 1, got {args.scenes}")
-    base = SceneConfig(
-        height=args.height,
-        width=args.width,
-        mwr_factor=args.mwr_factor,
-        mwr_channels=args.mwr_channels,
-        sar_ambiguity=args.sar_ambiguity,
-        mwr_noise=args.mwr_noise,
-        mwr_informative_fraction=args.informative_fraction,
-        blob_scale=args.blob_scale,
-        edge_amplitude=args.edge_amplitude,
-    )
+    base = SceneConfig(**{field: getattr(args, dest) for dest, field in _SCENE_DIALS.items()})
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     master = SeededRng(args.seed)
     names = []
     for i in range(args.scenes):
@@ -197,15 +196,9 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
     gen.add_argument("--scenes", type=int, required=True)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--height", type=int, default=64)
-    gen.add_argument("--width", type=int, default=64)
-    gen.add_argument("--mwr-factor", type=int, default=16)
-    gen.add_argument("--mwr-channels", type=int, default=14)
-    gen.add_argument("--sar-ambiguity", type=float, default=0.8)
-    gen.add_argument("--mwr-noise", type=float, default=0.1)
-    gen.add_argument("--informative-fraction", type=float, default=0.5)
-    gen.add_argument("--blob-scale", type=float, default=12.0)
-    gen.add_argument("--edge-amplitude", type=float, default=1.0)
+    for dest, field in _SCENE_DIALS.items():
+        default = getattr(SceneConfig, field)
+        gen.add_argument("--" + dest.replace("_", "-"), type=type(default), default=default)
     gen.set_defaults(handler=_cmd_gen_data)
 
     tr = sub.add_parser("train", help="train a model variant on a dataset")
@@ -214,11 +207,13 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--out", required=True)
     tr.add_argument("--epochs", type=int, default=30)
     tr.add_argument("--lr", type=float, default=0.05)
-    tr.add_argument("--seed", type=int, default=0)
-    tr.add_argument("--batch-size", type=int, default=1)
-    tr.add_argument("--mixing-activation", choices=["linear", "relu"], default="linear")
-    tr.add_argument("--upsample-mode", choices=["bilinear", "nearest"], default="bilinear")
-    tr.add_argument("--dropout-rate", type=float, default=0.1)
+    tr.add_argument("--seed", type=int, default=TrainConfig.seed)
+    tr.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    tr.add_argument("--mixing-activation", choices=_MIXING_ACTIVATIONS,
+                    default=ModelConfig.mixing_activation)
+    tr.add_argument("--upsample-mode", choices=_UPSAMPLE_MODES,
+                    default=ModelConfig.upsample_mode)
+    tr.add_argument("--dropout-rate", type=float, default=ModelConfig.dropout_rate)
     tr.add_argument("--no-shuffle", action="store_true")
     tr.add_argument("--log", default=None)
     tr.set_defaults(handler=_cmd_train)

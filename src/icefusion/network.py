@@ -89,6 +89,9 @@ _POOL_MIN_PIXELS = 1024
 # Branch width of each published variant; scale-0 and btemp are 14 wide in both.
 _BRANCH_WIDTH = {"small": 14, "large": 28}
 _PUBLISHED_WIDTH = 14
+# The values ModelConfig accepts; the command line offers them in this order.
+_MIXING_ACTIVATIONS = ("linear", "relu")
+_UPSAMPLE_MODES = ("bilinear", "nearest")
 
 
 def scale_group_name(dilation: int) -> str:
@@ -151,11 +154,11 @@ class ModelConfig:
             raise ConfigurationError(
                 f"dropout rate must lie in [0, 1), got {self.dropout_rate}"
             )
-        if self.mixing_activation not in ("linear", "relu"):
+        if self.mixing_activation not in _MIXING_ACTIVATIONS:
             raise ConfigurationError(
                 f"mixing activation must be 'linear' or 'relu', got {self.mixing_activation!r}"
             )
-        if self.upsample_mode not in ("nearest", "bilinear"):
+        if self.upsample_mode not in _UPSAMPLE_MODES:
             raise ConfigurationError(
                 f"upsample mode must be 'nearest' or 'bilinear', got {self.upsample_mode!r}"
             )

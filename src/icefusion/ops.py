@@ -3,9 +3,9 @@
 All functions take and return float64 numpy arrays in one channel-first
 layout, a single scene's [C, H, W].  They never write to their inputs.
 ``batch_norm`` updates the running statistics on its state object in train
-mode.  ``dropout`` keeps its recent keep-scales in a bounded
-``functools.lru_cache``, so a repeated stream replays its masks without
-redrawing them, and returns each keep-scale read-only.  Each backward
+mode.  ``dropout`` returns each keep-scale read-only.  Probe-sized draws are
+memoized, so finite-difference probes replay their masks; training draws are
+never held, and eval mode clears nothing.  Each backward
 companion is the exact chain-rule transpose of its forward map, which the
 finite-difference suite verifies.
 
@@ -534,17 +534,20 @@ def sigmoid(x) -> np.ndarray:
     return np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
 
 
-@functools.lru_cache(maxsize=12)
-def _keep_scale(rng: SeededRng, shape: tuple[int, ...], rate: float) -> np.ndarray:
-    """The read-only keep-scale of one train-mode draw.
+# A SeededRng always draws the same values, so a memo hit is the draw itself.
+# An 8x8 probe's keep-scale (1,792 elements in the large variant) fits under
+# the bound; a 64x64 training step's (57,344 or more) does not.
+_MEMO_MAX_ELEMENTS = 4096
 
-    A SeededRng always draws the same values, so a cache hit is the draw
-    itself.  One entry per dropout site of a forward (4 branches x 3 blocks)
-    lets finite-difference probes, which replay one rng, skip every redraw.
-    """
+
+def _draw_keep_scale(rng: SeededRng, shape: tuple[int, ...], rate: float) -> np.ndarray:
+    """The read-only keep-scale of one train-mode draw."""
     keep_scale = (rng.random(shape) >= rate).astype(np.float64) / (1.0 - rate)
     keep_scale.flags.writeable = False
     return keep_scale
+
+
+_keep_scale = functools.lru_cache(maxsize=12)(_draw_keep_scale)  # 4 branches x 3 blocks
 
 
 def dropout(x, rate: float, rng: SeededRng | None, mode: str = "train"):
@@ -554,15 +557,14 @@ def dropout(x, rate: float, rng: SeededRng | None, mode: str = "train"):
     divided by the keep probability (multiply upstream gradients by it), or
     None when the op was an identity (eval mode or rate 0).
 
-    Train mode needs a :class:`SeededRng`.  The keep-scale is read-only and
-    is shared with later calls on an equal (rng, shape, rate): the 12 most
-    recently used are memoized, and an eval-mode call empties the memo.
+    Train mode needs a :class:`SeededRng`.  The keep-scale is read-only.  A
+    probe-sized one (at most 4,096 elements) is memoized, 12 at most, and
+    replayed for an equal (rng, shape, rate); a training step's is never
+    held once the call returns.  Eval mode clears nothing.
     """
     x = np.asarray(x, dtype=np.float64)
     if not (_is_real(rate) and 0.0 <= rate < 1.0):
         raise ConfigurationError(f"dropout rate must lie in [0, 1), got {rate!r}")
-    if mode == "eval":
-        _keep_scale.cache_clear()
     if mode == "eval" or rate == 0.0:
         return x.copy(), None
     if mode != "train":
@@ -571,7 +573,8 @@ def dropout(x, rate: float, rng: SeededRng | None, mode: str = "train"):
         raise UsageError(
             f"train-mode dropout with a positive rate needs a SeededRng, got {type(rng).__name__}"
         )
+    draw = _keep_scale if x.size <= _MEMO_MAX_ELEMENTS else _draw_keep_scale
     # One float for key and draw alike: an np.float32 rate equals its float64
     # value as a key but would divide by a float32 keep probability.
-    keep_scale = _keep_scale(rng, x.shape, float(rate))
+    keep_scale = draw(rng, x.shape, float(rate))
     return x * keep_scale, keep_scale

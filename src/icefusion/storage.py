@@ -82,15 +82,18 @@ MANIFEST_NAME = "manifest.json"
 
 def _atomic_write_bytes(path: Path, data: bytes) -> None:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise FormatError(f"cannot write {path}: {exc}") from exc
         raise
 
 
@@ -478,9 +481,12 @@ def read_report(path) -> ReportFile:
             raise FormatError(f"report {path}: its {field} disagrees with its entries")
     if top_ranking != report.ranking[:len(top_ranking)]:
         raise FormatError(f"report {path}: top_ranking is not a prefix of its ranking")
+    provenance = doc.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise FormatError(f"report {path}: its provenance is not a JSON object")
     return ReportFile(
         report=report,
-        provenance=doc.get("provenance", {}),
+        provenance=provenance,
         top_ranking=top_ranking,
         tool_version=str(doc.get("tool_version", "")),
     )

@@ -244,6 +244,31 @@ def test_missing_files_exit_3(capsys, tmp_path):
     assert code == 3 and err.startswith("E_FORMAT:")
 
 
+@pytest.mark.parametrize("command", ["gen-data", "train", "train --log", "analyze",
+                                     "compare", "plot-data"])
+def test_unwritable_output_exits_3(pipeline, capsys, tmp_path, command):
+    # Every output path lies under a plain file, so no directory can be made.
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    bad = str(blocker / "out")
+    data, ckpt, report = (str(pipeline[key]) for key in ("data", "ckpt", "report"))
+    large = tmp_path / "large.json"  # compare only needs a report labelled large
+    large.write_text(json.dumps(dict(json.loads(pipeline["report"].read_text()),
+                                     variant="large")))
+    train = ["train", "--data", data, "--variant", "small", "--epochs", "1"]
+    argv = {
+        "gen-data": [*GEN_ARGS, "--out", bad],
+        "train": [*train, "--out", bad],
+        "train --log": [*train, "--out", str(tmp_path / "m.ckpt"), "--log", bad],
+        "analyze": ["analyze", "--ckpt", ckpt, "--data", data, "--out", bad],
+        "compare": ["compare", "--small", report, "--large", str(large), "--out", bad],
+        "plot-data": ["plot-data", "--report", report, "--out", bad],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and err.count("\n") == 1
+    assert err.startswith(f"E_FORMAT: cannot write {bad}")
+
+
 def test_malformed_files_exit_3(pipeline, capsys, tmp_path):
     listless = tmp_path / "listless.json"
     listless.write_text("[]")

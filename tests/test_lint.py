@@ -2,7 +2,9 @@
 
 Every module (except the package root, ``__main__`` and ``version``) declares
 ``__all__``, imports no name it never uses, and lists in ``__all__`` only
-names it defines or imports.
+names it defines or imports.  No module holds a memo that can grow without
+bound: every ``functools.lru_cache`` names an integer ``maxsize``, and
+``functools.cache`` decorates only functions that take no arguments.
 """
 import ast
 from pathlib import Path
@@ -12,6 +14,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "icefusion"
 EXEMPT = {"__init__", "__main__", "version"}
 MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem not in EXEMPT)
+ALL_MODULES = sorted(path.stem for path in SRC.glob("*.py"))
 
 
 def parse(module):
@@ -61,6 +64,44 @@ def defined_names(tree):
     return names
 
 
+def memo_names(tree):
+    """How the module spells functools' memos: {source text: "lru_cache" or "cache"}."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "functools":
+                    module = alias.asname or alias.name
+                    names.update({f"{module}.lru_cache": "lru_cache", f"{module}.cache": "cache"})
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names.update({a.asname or a.name: a.name for a in node.names
+                          if a.name in ("lru_cache", "cache")})
+    return names
+
+
+def unbounded_memos(tree):
+    """Lines that set up a memo with no integer size bound."""
+    names = memo_names(tree)
+    bounded, argument_free = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and names.get(ast.unparse(node.func)) == "lru_cache":
+            sizes = [kw.value for kw in node.keywords if kw.arg == "maxsize"] + node.args[:1]
+            if sizes and isinstance(sizes[0], ast.Constant) and type(sizes[0].value) is int:
+                bounded.add(id(node.func))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            if not (a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg):
+                argument_free.update(id(d) for d in node.decorator_list)
+    unbounded = [
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and ast.unparse(node) in names
+        and id(node) not in (bounded if names[ast.unparse(node)] == "lru_cache"
+                             else argument_free)
+    ]
+    return [f"line {node.lineno}: {ast.unparse(node)}"
+            for node in sorted(unbounded, key=lambda node: node.lineno)]
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_module_declares_all(module):
     assert declared_all(parse(module)) is not None, f"{module}.py has no __all__ list"
@@ -81,3 +122,25 @@ def test_module_all_names_are_defined(module):
     defined = defined_names(tree)
     undefined = [name for name in declared_all(tree) or [] if name not in defined]
     assert not undefined, f"{module}.py lists undefined names in __all__: {undefined}"
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_module_memos_are_bounded(module):
+    unbounded = unbounded_memos(parse(module))
+    assert not unbounded, f"{module}.py sets up memos without a size bound: {unbounded}"
+
+
+def test_unbounded_memos_are_caught():
+    tree = ast.parse(
+        "import functools\n"
+        "from functools import cache, lru_cache as memo\n"
+        "@functools.lru_cache(maxsize=8)\ndef a(x): pass\n"
+        "@functools.cache\ndef b(): pass\n"
+        "c = functools.lru_cache(maxsize=None)(a)\n"
+        "@memo\ndef d(x): pass\n"
+        "@memo(64)\ndef e(x): pass\n"
+        "@cache\ndef f(x): pass\n"
+        "g = functools.lru_cache(maxsize=size)(a)\n"
+    )
+    assert [line.split(":")[0] for line in unbounded_memos(tree)] == [
+        "line 7", "line 8", "line 12", "line 14"]

@@ -748,14 +748,29 @@ def test_dropout_each_key_gets_its_own_mask():
     npt.assert_array_equal(dropout(x, 0.3, rng, mode="train")[1], first)
 
 
-def test_dropout_eval_call_releases_memoized_scales():
-    x = np.ones((14, 8, 8))
-    _, scale = dropout(x, 0.1, SeededRng(2024).derive(7, 4), mode="train")
+def test_dropout_holds_no_training_sized_scale():
+    # A large 64x64 keep-scale is never memoized: once its caller drops it,
+    # nothing in ops keeps it alive.
+    x = np.ones((28, 64, 64))
+    rng = SeededRng(2024).derive(7, 4)
+    _, scale = dropout(x, 0.1, rng, mode="train")
+    assert not scale.flags.writeable
+    npt.assert_array_equal(scale, dropout_reference(x, 0.1, rng)[1])
     ref = weakref.ref(scale)
     del scale
-    assert ref() is not None  # the memo still holds it
-    dropout(x, 0.1, None, mode="eval")
     assert ref() is None
+
+
+def test_dropout_holds_and_replays_a_probe_sized_scale():
+    # A large 8x8 keep-scale is memoized, an eval call clears nothing, and an
+    # equal key gets the held array back without a redraw.
+    x = np.ones((28, 8, 8))
+    _, scale = dropout(x, 0.1, SeededRng(2024).derive(7, 5), mode="train")
+    ref = weakref.ref(scale)
+    del scale
+    assert ref() is not None
+    dropout(x, 0.1, None, mode="eval")
+    assert dropout(x, 0.1, SeededRng(2024).derive(7, 5), mode="train")[1] is ref()
 
 
 def test_dropout_train_mode_refuses_stateful_generators():

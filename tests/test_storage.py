@@ -476,6 +476,9 @@ def test_report_formats_and_refusals(tmp_path):
     ("dead_nodes", []),
     ("top_ranking", [2, 1]),
     ("input_index", 2),
+    # The provenance is a JSON object.
+    ("provenance", ["x"]),
+    ("provenance", None),
 ])
 def test_report_indices_must_name_entries(tmp_path, field, indices):
     path = tmp_path / "report.json"
