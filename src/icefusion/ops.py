@@ -18,10 +18,14 @@ path.  Kernel taps whose dilated offset reaches past the whole grid read only
 zero padding; ``conv2d`` leaves them out of the window matrix and the GEMM, and
 when no kept tap leaves the grid it pads and copies nothing.
 
+``conv2d_backward`` adds each tap's input gradient as one contiguous shift of
+the flattened image; columns that would wrap across a row end are zeroed, and
+the +0 they add changes no bit, since the gradient never holds -0.
+
 Geometry that depends only on shapes is worked out once and cached in bounded
 ``functools.lru_cache`` tables, so a call on a shape seen before does only
 array work: the conv plan per (Cin, k, dilation, H, W) holds the kept taps,
-the row bands and the in-range tap rectangles ``conv2d_backward`` scatters
+the row bands and the flat shifts and wrap columns ``conv2d_backward`` adds
 through; the window counts of ``avg_smooth`` and the source rows, columns and
 blend weights of bilinear ``upsample`` are cached per grid.  Cached entries
 are immutable or read-only, and no public op returns one.  When one band
@@ -99,9 +103,10 @@ class _ConvPlan:
 
     ``rows`` and ``cols`` are the kept taps of each axis (see
     :func:`_kept_taps`) and ``bands`` the [y0, y1) output-row ranges of the
-    im2col bands.  ``scatter`` lists, per kept tap (ty, tx) in tap order, the
-    rows and columns of the input gradient it adds to and of its spread map
-    it reads, as :func:`_tap_slices` gives them to :func:`conv2d_backward`.
+    im2col bands.  ``wrap`` holds, per off-centre kept column tap tx, the
+    [x0, x1) source columns its offset carries across a row end.  ``scatter``
+    holds, per kept tap in tap order, its flat index ty * k + tx and the flat
+    ranges :func:`_tap_slices` gives for the offset oy * W + ox.
     """
 
     rows: slice
@@ -109,7 +114,8 @@ class _ConvPlan:
     ky: int
     kx: int
     bands: tuple[tuple[int, int], ...]
-    scatter: tuple[tuple[int, int, slice, slice, slice, slice], ...]
+    wrap: tuple[tuple[int, int, int], ...]
+    scatter: tuple[tuple[int, slice, slice], ...]
 
 
 @functools.lru_cache(maxsize=64)
@@ -119,12 +125,12 @@ def _conv_plan(cin: int, k: int, dilation: int, height: int, width: int) -> _Con
     band = max(1, _BAND_BYTES // (8 * cin * ky * kx * width))
     bands = tuple((y0, min(y0 + band, height)) for y0 in range(0, height, band))
     center = (k - 1) // 2
-    scatter = tuple(
-        (ty, tx, *_tap_slices((ty - center) * dilation, height),
-         *_tap_slices((tx - center) * dilation, width))
-        for ty in range(rows.start, rows.stop) for tx in range(cols.start, cols.stop)
-    )
-    return _ConvPlan(rows, cols, ky, kx, bands, scatter)
+    offsets = [(t, (t - center) * dilation) for t in range(k)]
+    wrap = tuple((tx, width - ox, width) if ox > 0 else (tx, 0, -ox)
+                 for tx, ox in offsets[cols] if ox)
+    scatter = tuple((ty * k + tx, *_tap_slices(oy * width + ox, height * width))
+                    for ty, oy in offsets[rows] for tx, ox in offsets[cols])
+    return _ConvPlan(rows, cols, ky, kx, bands, wrap, scatter)
 
 
 def _padded(x: np.ndarray, rows: slice, cols: slice, dilation: int) -> np.ndarray:
@@ -226,7 +232,11 @@ def conv2d_backward(grad_out, x, kernels, dilation: int = 1):
     Returns ``(grad_x, grad_kernels, grad_bias)`` for the upstream gradient
     ``grad_out`` of shape [Cout, H, W].  The im2col covers every tap and the
     whole image in one matrix, so ``grad_kernels`` reduces over all pixels in
-    one GEMM, in the same order whatever the grid.
+    one GEMM, in the same order whatever the grid.  Each kept tap adds its
+    spread map to the flattened ``grad_x`` at offset oy * W + ox, in tap
+    order, once the source columns the offset carries across a row end are
+    zeroed.  ``grad_x`` starts at +0 and a sum is -0 only if both terms are,
+    so those +0 terms change no bit: the result is a zero-padded scatter's.
     """
     grad_out = _as_float64(grad_out, "grad_out", 3)
     x = _as_float64(x, "input", 3)
@@ -249,13 +259,14 @@ def conv2d_backward(grad_out, x, kernels, dilation: int = 1):
     del flat
     grad_bias = grad_out.sum(axis=(1, 2))
 
+    plan = _conv_plan(cin, k, dilation, height, width)
     spread = (kernels.reshape(cout, cin * k * k).T @ g2).reshape(cin, k, k, height, width)
-    # Each tap adds its in-range rectangle in tap order: every input pixel
-    # gets the same sums as a scatter into a zero-padded buffer, without one.
+    for tx, x0, x1 in plan.wrap:
+        spread[:, plan.rows, tx, :, x0:x1] = 0.0
     grad_x = np.zeros((cin, height, width))
-    for ty, tx, dst_rows, src_rows, dst_cols, src_cols in _conv_plan(
-            cin, k, dilation, height, width).scatter:
-        grad_x[:, dst_rows, dst_cols] += spread[:, ty, tx, src_rows, src_cols]
+    flat_x, flat_spread = grad_x.reshape(cin, -1), spread.reshape(cin, k * k, -1)
+    for tap, dst, src in plan.scatter:
+        flat_x[:, dst] += flat_spread[:, tap, src]
     return grad_x, grad_kernels, grad_bias
 
 

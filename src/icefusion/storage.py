@@ -45,7 +45,7 @@ from .network import (
 )
 from .rng import SeededRng
 from .scenes import Scene, SceneConfig
-from .training import NATIVE_GRID
+from .training import NATIVE_GRID, UPSAMPLED_GRID
 from .version import __version__
 
 __all__ = [
@@ -484,6 +484,9 @@ def read_report(path) -> ReportFile:
     provenance = doc.get("provenance", {})
     if not isinstance(provenance, dict):
         raise FormatError(f"report {path}: its provenance is not a JSON object")
+    grids = provenance.get("btemp_provenance", [])
+    if not (isinstance(grids, list) and all(g in (NATIVE_GRID, UPSAMPLED_GRID) for g in grids)):
+        raise FormatError(f"report {path}: its btemp_provenance is not a list of grid names")
     return ReportFile(
         report=report,
         provenance=provenance,

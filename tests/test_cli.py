@@ -303,6 +303,17 @@ def test_malformed_files_exit_3(pipeline, capsys, tmp_path):
         assert code == 3 and err.startswith("E_FORMAT:") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
+    # a provenance whose btemp_provenance is not a list of grid names
+    for grids in (5, "native-grid", ["x"]):
+        odd = tmp_path / "odd-grids.json"
+        odd.write_text(json.dumps(dict(doc, provenance=dict(doc["provenance"],
+                                                            btemp_provenance=grids))))
+        code, out, err = run(capsys, "plot-data", "--report", str(odd),
+                             "--out", str(tmp_path / "plot.csv"))
+        assert code == 3 and out == "" and err.count("\n") == 1
+        assert err.startswith("E_FORMAT:") and "btemp_provenance" in err
+    assert not (tmp_path / "plot.csv").exists()
+
     # a sealed scene whose sar lacks a channel its config promises
     scene, cfg = load_scene(pipeline["data"] / "scene-0000.scene")
     one_channel = tmp_path / "one-channel"

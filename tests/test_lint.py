@@ -4,9 +4,12 @@ Every module (except the package root, ``__main__`` and ``version``) declares
 ``__all__``, imports no name it never uses, and lists in ``__all__`` only
 names it defines or imports.  No module holds a memo that can grow without
 bound: every ``functools.lru_cache`` names an integer ``maxsize``, and
-``functools.cache`` decorates only functions that take no arguments.
+``functools.cache`` decorates only functions that take no arguments.  The
+only runtime dependencies are numpy and scipy: every module imports only
+the standard library, those two and the package itself.
 """
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "icefusion"
 EXEMPT = {"__init__", "__main__", "version"}
 MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem not in EXEMPT)
 ALL_MODULES = sorted(path.stem for path in SRC.glob("*.py"))
+RUNTIME_PACKAGES = set(sys.stdlib_module_names) | {"numpy", "scipy", SRC.name}
 
 
 def parse(module):
@@ -62,6 +66,23 @@ def defined_names(tree):
             for target in targets:
                 names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
     return names
+
+
+def foreign_imports(tree):
+    """Lines importing a top-level package outside ``RUNTIME_PACKAGES``, anywhere in the module.
+
+    Relative imports are the package's own.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots = [node.module.split(".")[0]]
+        else:
+            continue
+        found += [(node.lineno, root) for root in roots if root not in RUNTIME_PACKAGES]
+    return [f"line {line}: {root}" for line, root in sorted(found)]
 
 
 def memo_names(tree):
@@ -144,3 +165,25 @@ def test_unbounded_memos_are_caught():
     )
     assert [line.split(":")[0] for line in unbounded_memos(tree)] == [
         "line 7", "line 8", "line 12", "line 14"]
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_module_imports_only_stdlib_numpy_and_scipy(module):
+    foreign = foreign_imports(parse(module))
+    assert not foreign, f"{module}.py imports packages outside the runtime dependencies: {foreign}"
+
+
+def test_foreign_imports_are_caught():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path, numpy as np\n"
+        "from scipy.special import expit\n"
+        "from . import ops\n"
+        "from icefusion.errors import FormatError\n"
+        "import pandas\n"
+        "def f():\n    import matplotlib.pyplot as plt\n"
+        "from sklearn import linear_model\n"
+        "import json, yaml\n"
+    )
+    assert foreign_imports(tree) == [
+        "line 6: pandas", "line 8: matplotlib", "line 9: sklearn", "line 10: yaml"]

@@ -199,8 +199,8 @@ def test_geometry_caches_are_immutable_and_never_handed_out():
     assert ops._conv_plan(3, 3, 2, 8, 8) is plan
     with pytest.raises(AttributeError):
         plan.bands = ()
-    assert isinstance(plan.bands, tuple) and isinstance(plan.scatter, tuple)
-    assert all(isinstance(tap, tuple) for tap in plan.bands + plan.scatter)
+    assert all(isinstance(field, tuple) for field in (plan.bands, plan.wrap, plan.scatter))
+    assert all(isinstance(tap, tuple) for tap in plan.bands + plan.wrap + plan.scatter)
 
     coarse = rng.normal(size=(2, 2, 3))
     outs = [upsample(coarse, 4, "bilinear") for _ in range(2)]
@@ -344,6 +344,40 @@ def test_conv2d_backward_input_matches_padded_scatter_bitwise(k):
                 grad_x, conv2d_backward_input_reference(g, kernels, dilation),
                 err_msg=f"{height}x{width} dilation {dilation}")
             assert grad_x.flags.c_contiguous
+
+
+def assert_same_bytes(actual, expected, message):
+    assert actual.shape == expected.shape, message
+    assert actual.tobytes() == expected.tobytes(), message
+
+
+@pytest.mark.parametrize("cin, cout", [(2, 14), (14, 14), (14, 28), (28, 28)])
+def test_conv2d_backward_input_is_byte_identical_on_pipeline_layers(cin, cout):
+    # The 64x64 layers training runs, at every branch dilation.  Bytes, unlike
+    # assert_array_equal, also tell -0 from +0.
+    rng = np.random.default_rng(1000 + 10 * cin + cout)
+    for dilation in (1, 2, 4, 8, 16):
+        x = rng.normal(size=(cin, 64, 64))
+        kernels = rng.normal(size=(cout, cin, 3, 3))
+        g = rng.normal(size=(cout, 64, 64))
+        grad_x, _, _ = conv2d_backward(g, x, kernels, dilation=dilation)
+        assert_same_bytes(grad_x, conv2d_backward_input_reference(g, kernels, dilation),
+                          f"{cin}->{cout} dilation {dilation}")
+
+
+@pytest.mark.parametrize("height, width", [(3, 17), (17, 3), (6, 2), (2, 6), (9, 1), (1, 9)])
+@pytest.mark.parametrize("k", [3, 5])
+def test_conv2d_backward_input_is_byte_identical_on_narrow_grids(height, width, k):
+    # Column offsets of W-1 leave one source column in range, so every other
+    # one is a wrap column; offsets of W or more drop the tap.
+    rng = np.random.default_rng(10 * height + width + k)
+    for dilation in range(1, 19):
+        x = rng.normal(size=(2, height, width))
+        kernels = rng.normal(size=(3, 2, k, k))
+        g = rng.normal(size=(3, height, width))
+        grad_x, _, _ = conv2d_backward(g, x, kernels, dilation=dilation)
+        assert_same_bytes(grad_x, conv2d_backward_input_reference(g, kernels, dilation),
+                          f"{height}x{width} k {k} dilation {dilation}")
 
 
 @pytest.mark.parametrize("channels, dilation", [(28, 16), (14, 2)])

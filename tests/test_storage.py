@@ -444,6 +444,30 @@ def test_report_formats_and_refusals(tmp_path):
         read_report(bad)
 
 
+@pytest.mark.parametrize("grids, refused", [
+    (None, False), ([], False), (["native-grid"] * 3, False),
+    (["native-grid", "upsampled-grid"], True),
+])
+def test_report_listing_grid_names_reads_back_and_writes_through_its_check(
+        tmp_path, grids, refused):
+    path = tmp_path / "report.json"
+    write_report(ReportFile(report=hand_report(), provenance={}), path)
+    doc = json.loads(path.read_text())
+    if grids is not None:
+        doc["provenance"]["btemp_provenance"] = grids
+    path.write_text(json.dumps(doc))
+    restored = read_report(path)
+    assert restored.provenance == doc["provenance"]
+    again = tmp_path / "again.json"
+    if refused:
+        with pytest.raises(ProvenanceError):
+            write_report(restored, again)
+        assert not again.exists()
+    else:
+        write_report(restored, again)
+        assert json.loads(again.read_text()) == doc
+
+
 @pytest.mark.parametrize("field, indices", [
     ("ranking", [999, 0]),
     ("top_ranking", [999]),
@@ -476,9 +500,17 @@ def test_report_formats_and_refusals(tmp_path):
     ("dead_nodes", []),
     ("top_ranking", [2, 1]),
     ("input_index", 2),
-    # The provenance is a JSON object.
+    # The provenance is a JSON object, and its btemp_provenance a list of
+    # grid names: a string is iterable and a dict is not a list.
     ("provenance", ["x"]),
     ("provenance", None),
+    ("provenance", {"btemp_provenance": 5}),
+    ("provenance", {"btemp_provenance": None}),
+    ("provenance", {"btemp_provenance": "native-grid"}),
+    ("provenance", {"btemp_provenance": {"0": "native-grid"}}),
+    ("provenance", {"btemp_provenance": ["native-grid", 5]}),
+    ("provenance", {"btemp_provenance": ["sar-grid"]}),
+    ("provenance", {"btemp_provenance": [["native-grid"]]}),
 ])
 def test_report_indices_must_name_entries(tmp_path, field, indices):
     path = tmp_path / "report.json"
