@@ -276,10 +276,17 @@ class ForwardPass:
 
 @dataclass
 class _BranchCache:
+    """What one branch's backward reads and cannot cheaply rebuild.
+
+    ``conv_inputs`` holds the inputs of conv 0 and of each conv 2j+1, and
+    ``drop_masks`` each block's boolean keep mask (None where dropout was
+    the identity); backward rebuilds conv 2j's input for j >= 1 from them.
+    """
+
     conv_inputs: list[np.ndarray]
     relu_masks: list[np.ndarray]
     norm_caches: list[tuple]
-    drop_scales: list[np.ndarray | None]
+    drop_masks: list[np.ndarray | None]
     mix_mask: np.ndarray | None
 
 
@@ -452,13 +459,13 @@ def _branch_forward(branch: Branch, b: int, tap: np.ndarray, out: np.ndarray,
     """Branch ``b`` on the stem tap, written into its block ``out`` of the mixing inputs.
 
     Without ``keep_cache`` each array is dropped as soon as the next op has
-    read it.
+    read it; with it, only what :class:`_BranchCache` lists is kept.
     """
     cache = _BranchCache([], [], [], [], None) if keep_cache else None
     x = ops.avg_smooth(tap, branch.dilation)
     for j in range(len(branch.norms)):
         for c in (2 * j, 2 * j + 1):
-            if keep_cache:
+            if keep_cache and (c % 2 or j == 0):
                 cache.conv_inputs.append(x)
             x = ops.conv2d(x, branch.convs[c].kernels, branch.convs[c].bias,
                            dilation=branch.dilation)
@@ -470,8 +477,8 @@ def _branch_forward(branch: Branch, b: int, tap: np.ndarray, out: np.ndarray,
         x, scale = ops.dropout(x, cfg.dropout_rate, site_rng, mode=mode)
         if keep_cache:
             cache.norm_caches.append(norm_cache)
-            cache.drop_scales.append(scale)
-        del norm_cache
+            cache.drop_masks.append(None if scale is None else scale > 0.0)
+        del norm_cache, scale
     if cfg.mixing_activation == "relu":
         if keep_cache:
             cache.mix_mask = x > 0.0
@@ -502,7 +509,12 @@ def forward(
     op has read it.  A large 128x128 eval forward then peaks at about 44 MB
     of traced memory with two branches in flight, against 81 MB when every
     branch held its six conv inputs until it returned.  ``keep_cache`` keeps
-    what :func:`backward` reads, which consumes it.
+    what :func:`backward` reads and cannot rebuild in an elementwise pass or
+    two: each dropout site's boolean mask, not its float64 keep-scale, and
+    no input of conv 2j for j >= 1, which backward rebuilds from block j-1's
+    normalized activation, gamma, beta and mask.  A large 64x64 train cache
+    then holds about 31.7 MB of traced memory (small: 17.5 MB), against
+    48.7 MB with keep-scales and every conv input.
     """
     sar = np.asarray(sar, dtype=np.float64)
     mwr = np.asarray(mwr, dtype=np.float64)
@@ -554,7 +566,11 @@ def forward(
     return ForwardPass(prob=prob, mixing_inputs=mixing_inputs, cache=cache)
 
 
-def _branch_backward(branch: Branch, bc: _BranchCache, coefficients: np.ndarray,
+def _rebuilt_scale(mask: np.ndarray | None, rate: float) -> np.ndarray | None:
+    return None if mask is None else ops._mask_scale(mask, rate)
+
+
+def _branch_backward(branch: Branch, bc: _BranchCache, rate: float, coefficients: np.ndarray,
                      grad_logit: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Branch gradients from its block's mixing ``coefficients`` ([width, 1, 1]).
 
@@ -562,26 +578,44 @@ def _branch_backward(branch: Branch, bc: _BranchCache, coefficients: np.ndarray,
     gradients, keyed in the order :func:`backward` reports them.  Every mask
     multiplies a gradient this function made, so it multiplies in place.
     Each record is popped from ``bc`` as it is read, so every activation is
-    freed once its gradients are formed and ``bc`` is left empty.
+    freed once its gradients are formed and ``bc`` is left empty.  Each
+    block's keep-scale is rebuilt from its mask (at dropout ``rate``) once:
+    for conv 2j+2's input, then for the block's own gradient.
     """
     grads: dict[str, np.ndarray] = {}
     prefix = f"branch.{branch.dilation}"
+
+    def conv_backward(c: int, g: np.ndarray, x: np.ndarray) -> np.ndarray:
+        g_x, d_k, d_b = ops.conv2d_backward(g, x, branch.convs[c].kernels,
+                                            dilation=branch.dilation)
+        grads[f"{prefix}.conv{c}.kernels"] = d_k
+        grads[f"{prefix}.conv{c}.bias"] = d_b
+        return g_x
+
     g = coefficients * grad_logit
     if bc.mix_mask is not None:
         g *= bc.mix_mask
+    scale = _rebuilt_scale(bc.drop_masks.pop(), rate)
     for j in reversed(range(len(branch.norms))):
-        scale = bc.drop_scales.pop()
         if scale is not None:
             g *= scale
+        del scale
         g, d_gamma, d_beta = ops.batch_norm_backward(g, bc.norm_caches.pop(), branch.norms[j])
         grads[f"{prefix}.norm{j}.gamma"] = d_gamma
         grads[f"{prefix}.norm{j}.beta"] = d_beta
         g *= bc.relu_masks.pop()
-        for c in (2 * j + 1, 2 * j):
-            g, d_k, d_b = ops.conv2d_backward(g, bc.conv_inputs.pop(), branch.convs[c].kernels,
-                                              dilation=branch.dilation)
-            grads[f"{prefix}.conv{c}.kernels"] = d_k
-            grads[f"{prefix}.conv{c}.bias"] = d_b
+        g = conv_backward(2 * j + 1, g, bc.conv_inputs.pop())
+        if j == 0:
+            g = conv_backward(0, g, bc.conv_inputs.pop())
+        else:
+            # Conv 2j read block j-1's output: its normalized activation
+            # scaled and shifted, times its keep-scale, which block j-1 reuses.
+            scale = _rebuilt_scale(bc.drop_masks.pop(), rate)
+            x = ops._scale_shift(bc.norm_caches[-1][0], branch.norms[j - 1])
+            if scale is not None:
+                x *= scale
+            g = conv_backward(2 * j, g, x)
+            del x
     return ops.avg_smooth_backward(g, branch.dilation), grads
 
 
@@ -596,9 +630,9 @@ def backward(net: FusionNetwork, cache: _Cache, grad_logit) -> dict[str, np.ndar
 
     Once its arguments check out, ``backward`` consumes the cache, as
     autograd does without ``retain_graph``: each branch task frees its conv
-    inputs, relu masks and normalized activations as soon as their gradients
-    are formed.  For a large 64x64 net that is about 33 MB gone by the time
-    it returns; the stem inputs, mixing inputs and probability (about 5 MB)
+    inputs, masks and normalized activations as soon as their gradients are
+    formed.  For a large 64x64 net that is about 26.6 MB gone by the time it
+    returns; the stem inputs, mixing inputs and probability (about 5.1 MB)
     stay on the cache.  A second ``backward`` on the same cache raises
     :class:`UsageError`, as does one on a cache whose earlier ``backward``
     failed in a branch.
@@ -629,7 +663,7 @@ def backward(net: FusionNetwork, cache: _Cache, grad_logit) -> dict[str, np.ndar
     grad_tap = coefficients[0] * grad_logit
     branch_grads = _each_branch(
         _branch_backward,
-        [(branch, branch_caches[b], coefficients[1 + b], grad_logit)
+        [(branch, branch_caches[b], net.config.dropout_rate, coefficients[1 + b], grad_logit)
          for b, branch in enumerate(net.branches)],
         grad_logit.size,
     )

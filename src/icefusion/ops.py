@@ -478,18 +478,26 @@ def batch_norm(x, state: NormState, mode: str = "train"):
         state.running_mean = m * state.running_mean + (1.0 - m) * mean
         state.running_var = m * state.running_var + (1.0 - m) * var
         # The squares are spent: their buffer takes the output.
-        np.multiply(state.gamma[:, None, None], xhat, out=out)
-        cache = (xhat, inv_std)
-    elif mode == "eval":
-        inv_std = 1.0 / np.sqrt(state.running_var + _NORM_EPSILON)
-        out = x - state.running_mean[:, None, None]
-        out *= inv_std[:, None, None]
-        out *= state.gamma[:, None, None]
-        cache = None
-    else:
+        return _scale_shift(xhat, state, out=out), (xhat, inv_std)
+    if mode != "eval":
         raise UsageError(f"mode must be 'train' or 'eval', got {mode!r}")
+    inv_std = 1.0 / np.sqrt(state.running_var + _NORM_EPSILON)
+    out = x - state.running_mean[:, None, None]
+    out *= inv_std[:, None, None]
+    out *= state.gamma[:, None, None]
     out += state.beta[:, None, None]
-    return out, cache
+    return out, None
+
+
+def _scale_shift(xhat: np.ndarray, state: NormState, out: np.ndarray | None = None) -> np.ndarray:
+    """``gamma * xhat + beta`` per channel: train-mode :func:`batch_norm`'s output.
+
+    A caller holding a train-mode cache's ``xhat`` and unchanged ``gamma`` and
+    ``beta`` rebuilds that output byte for byte.
+    """
+    out = np.multiply(state.gamma[:, None, None], xhat, out=out)
+    out += state.beta[:, None, None]
+    return out
 
 
 def batch_norm_backward(grad_out, cache, state: NormState):
@@ -551,9 +559,18 @@ def sigmoid(x) -> np.ndarray:
 _MEMO_MAX_ELEMENTS = 4096
 
 
+def _mask_scale(keep: np.ndarray, rate: float) -> np.ndarray:
+    """The keep-scale of a boolean keep mask: kept entries 1 / (1 - rate), the rest 0.
+
+    A caller holding a draw's mask (``keep_scale > 0``) and its float rate
+    rebuilds the draw's keep-scale byte for byte.
+    """
+    return keep.astype(np.float64) / (1.0 - rate)
+
+
 def _draw_keep_scale(rng: SeededRng, shape: tuple[int, ...], rate: float) -> np.ndarray:
     """The read-only keep-scale of one train-mode draw."""
-    keep_scale = (rng.random(shape) >= rate).astype(np.float64) / (1.0 - rate)
+    keep_scale = _mask_scale(rng.random(shape) >= rate, rate)
     keep_scale.flags.writeable = False
     return keep_scale
 

@@ -429,13 +429,28 @@ def groups_csv_path(path) -> Path:
     return path.with_name(path.name + ".groups.csv")
 
 
+def _btemp_grids(provenance, what: str) -> list:
+    """The grid names a report's provenance lists for its btemp statistics.
+
+    Raises :class:`FormatError` unless the provenance is a JSON object whose
+    ``btemp_provenance``, if present, is a list of grid names.
+    """
+    if not isinstance(provenance, dict):
+        raise FormatError(f"{what}: its provenance is not a JSON object")
+    grids = provenance.get("btemp_provenance", [])
+    if not (isinstance(grids, list) and all(g in (NATIVE_GRID, UPSAMPLED_GRID) for g in grids)):
+        raise FormatError(f"{what}: its btemp_provenance is not a list of grid names")
+    return grids
+
+
 def write_report(report_file: ReportFile, path, format: str = "json") -> None:
     """Serialize a report; ``json`` is canonical, ``csv`` an export.
 
     The CSV export writes the per-input table to ``path`` and the group-sum
     table next to it (``<path>.groups.csv``).
     """
-    if any(p != NATIVE_GRID for p in report_file.provenance.get("btemp_provenance", [])):
+    grids = _btemp_grids(report_file.provenance, f"report {path}")
+    if any(p != NATIVE_GRID for p in grids):
         raise ProvenanceError(
             "refusing to write a report whose btemp statistics were pooled on "
             "the upsampled grid"
@@ -482,11 +497,7 @@ def read_report(path) -> ReportFile:
     if top_ranking != report.ranking[:len(top_ranking)]:
         raise FormatError(f"report {path}: top_ranking is not a prefix of its ranking")
     provenance = doc.get("provenance", {})
-    if not isinstance(provenance, dict):
-        raise FormatError(f"report {path}: its provenance is not a JSON object")
-    grids = provenance.get("btemp_provenance", [])
-    if not (isinstance(grids, list) and all(g in (NATIVE_GRID, UPSAMPLED_GRID) for g in grids)):
-        raise FormatError(f"report {path}: its btemp_provenance is not a list of grid names")
+    _btemp_grids(provenance, f"report {path}")
     return ReportFile(
         report=report,
         provenance=provenance,

@@ -95,8 +95,10 @@ def conv2d_backward_input_reference(grad_out, kernels, dilation=1):
     """Input gradient of conv2d by scattering into a zero-padded buffer.
 
     Every tap adds its whole spread map into the padded buffer, in tap order,
-    and the result is cropped.  The library scatters only in-range rectangles
-    in the same order, so the two must agree bit for bit.
+    and the result is cropped.  The library adds each tap's spread map as one
+    flat shift of the unpadded image, in the same order, after zeroing the
+    columns the shift would carry across a row end; those add +0 and change
+    no bit, so the two must agree bit for bit.
     """
     cout, cin, k, _ = kernels.shape
     _, height, width = grad_out.shape
@@ -235,7 +237,9 @@ class CachedLossProbe:
     """Finite differences that recompute only what a parameter can affect.
 
     One full forward runs at construction; each probe then replays the
-    pipeline from the perturbed layer's cached input onward.  Because every
+    pipeline from the perturbed layer's input onward.  The forward's cache
+    holds the input of conv 0 and of each conv 2j+1; the input of conv 2j
+    for j >= 1 is replayed once here from conv 2j-1's.  Because every
     evaluation is bit-deterministic, the replayed loss is bit-identical to
     what a full forward would produce, which test_network verifies by
     comparing sampled probes against :func:`fd_slow` with ``==``.
@@ -255,21 +259,29 @@ class CachedLossProbe:
         for b, branch in enumerate(net.branches):
             conv_inputs = fp.cache.branches[b].conv_inputs
             blocks, pairs, relus = [], [], []
+            x = conv_inputs[0]
             for j in range(len(branch.norms)):
-                blocks.append(conv_inputs[2 * j])
-                pairs.append(conv_inputs[2 * j + 1])
-                second = ops.conv2d(conv_inputs[2 * j + 1],
+                blocks.append(x)
+                pairs.append(conv_inputs[1 + j])
+                second = ops.conv2d(conv_inputs[1 + j],
                                     branch.convs[2 * j + 1].kernels,
                                     branch.convs[2 * j + 1].bias,
                                     dilation=branch.dilation)
                 relus.append(ops.relu(second))
+                x = self._norm_and_drop(b, j, relus[-1])
             self.block_inputs.append(blocks)
             self.pair_inputs.append(pairs)
             self.relu_outs.append(relus)
         self.groups = {g.name: g for g in net.config.groups}
 
+    def _norm_and_drop(self, b, j, x):
+        """Normalization and dropout of block j in branch b, as a train forward runs them."""
+        x, _ = ops.batch_norm(x, self.net.branches[b].norms[j], mode="train")
+        site = self.rng.derive(network_mod._STREAM_DROPOUT, b, j)
+        x, _ = ops.dropout(x, self.net.config.dropout_rate, site, mode="train")
+        return x
+
     def _finish_branch(self, b, j0, stage, x):
-        cfg = self.net.config
         branch = self.net.branches[b]
         d = branch.dilation
         for j in range(j0, len(branch.norms)):
@@ -282,10 +294,8 @@ class CachedLossProbe:
                 x = ops.conv2d(x, branch.convs[2 * j + 1].kernels,
                                branch.convs[2 * j + 1].bias, dilation=d)
                 x = ops.relu(x)
-            x, _ = ops.batch_norm(x, branch.norms[j], mode="train")
-            site = self.rng.derive(network_mod._STREAM_DROPOUT, b, j)
-            x, _ = ops.dropout(x, cfg.dropout_rate, site, mode="train")
-        if cfg.mixing_activation == "relu":
+            x = self._norm_and_drop(b, j, x)
+        if self.net.config.mixing_activation == "relu":
             x = ops.relu(x)
         return x
 

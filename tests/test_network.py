@@ -413,6 +413,7 @@ def test_cached_probe_agrees_with_naive_probe_bitwise():
     names = [
         "stem.0.kernels", "stem.1.bias",
         "branch.2.conv0.kernels", "branch.2.conv3.bias", "branch.2.conv5.kernels",
+        "branch.2.conv2.bias", "branch.3.conv4.kernels",
         "branch.3.conv1.kernels", "branch.3.norm0.gamma", "branch.3.norm2.beta",
         "mixing.coefficients", "mixing.bias",
     ]
@@ -454,7 +455,7 @@ def serial_branches(monkeypatch):
     monkeypatch.setattr(network_mod, "_POOL_MIN_PIXELS", 10**9)
 
 
-BRANCH_RECORDS = ("conv_inputs", "relu_masks", "drop_scales")
+BRANCH_RECORDS = ("conv_inputs", "relu_masks", "drop_masks")
 
 
 def run_step(config, monkeypatch, serial):
@@ -638,8 +639,11 @@ def test_backward_frees_every_branch_activation(serial, monkeypatch):
     sar, mwr = scene_arrays(np.random.default_rng(49), net.config, height=64, width=64)
     fp = forward(net, sar, mwr, mode="train", rng=SeededRng(3), keep_cache=True)
     kept = [record for bc in fp.cache.branches for record in
-            (*bc.conv_inputs, *bc.relu_masks, *(xhat for xhat, _ in bc.norm_caches))]
-    assert len(kept) == len(net.branches) * 3 * (2 + 1 + 1)
+            (*bc.conv_inputs, *bc.relu_masks, *(xhat for xhat, _ in bc.norm_caches),
+             *bc.drop_masks)]
+    # Per branch: conv 0's input, then per block conv 2j+1's input, a relu
+    # mask, a normalized activation and a dropout mask.
+    assert len(kept) == len(net.branches) * (1 + 3 * (1 + 1 + 1 + 1))
     refs = [weakref.ref(record) for record in kept]
     del kept
     backward(net, fp.cache, np.ones_like(fp.prob))
@@ -664,3 +668,111 @@ def test_uncached_forwards_keep_no_activation(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * mixing_bytes, peak / mixing_bytes
+
+
+# ---------------------------------------------------------------------------
+# What a train cache keeps
+
+
+def record_conv_inputs(monkeypatch):
+    """Every ``conv2d`` input and ``conv2d_backward`` ``x`` from here on, by layer.
+
+    Each op maps a layer's parameter name to the (dtype, shape, bytes) of
+    each input it was called with, taken at the call.
+    """
+    inputs = {"conv2d": {}, "conv2d_backward": {}}
+
+    def record(op, position):
+        original = getattr(ops, op)
+
+        def recorded(*args, **kwargs):
+            x, kernels = args[position], args[position + 1]
+            inputs[op].setdefault(id(kernels), []).append((x.dtype, x.shape, x.tobytes()))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ops, op, recorded)
+
+    record("conv2d", 0)
+    record("conv2d_backward", 1)
+    return inputs
+
+
+@pytest.mark.parametrize("serial", [False, True])
+@pytest.mark.parametrize("config", [
+    ModelConfig.for_variant("small", mwr_factor=8),
+    ModelConfig.for_variant("large", mwr_factor=8),
+    ModelConfig.for_variant("small", mwr_factor=8, dropout_rate=0.0),
+    ModelConfig.for_variant("small", mwr_factor=8, mixing_activation="relu"),
+])
+def test_backward_reads_the_bytes_each_conv_read_in_forward(config, serial, monkeypatch):
+    # Conv 2j's input for j >= 1 is rebuilt, not kept; every other one is kept.
+    # Each norm gets its own gamma and beta, so a rebuild from the wrong
+    # block's cannot match.
+    if serial:
+        serial_branches(monkeypatch)
+    net = build(config, SeededRng(50))
+    rng = np.random.default_rng(51)
+    for branch in net.branches:
+        for norm in branch.norms:
+            norm.gamma = rng.uniform(0.5, 1.5, norm.channels)
+            norm.beta = rng.normal(0.0, 0.5, norm.channels)
+    sar, mwr = scene_arrays(rng, config, height=32, width=32)
+    label = (np.random.default_rng(52).random((1, 32, 32)) > 0.5).astype(np.float64)
+    inputs = record_conv_inputs(monkeypatch)
+    fp = forward(net, sar, mwr, mode="train", rng=SeededRng(53), keep_cache=True)
+    backward(net, fp.cache, bce_loss(fp.prob, label)[1])
+    layers = {id(kernels): name for name, kernels in named_parameters(net)
+              if name.endswith(".kernels")}
+    assert len(layers) == 2 + 6 * len(net.branches)
+    for op in inputs:
+        assert set(inputs[op]) == set(layers), op
+    for key, name in layers.items():
+        assert len(inputs["conv2d"][key]) == 1, name
+        assert inputs["conv2d_backward"][key] == inputs["conv2d"][key], name
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.0])
+def test_train_cache_keeps_boolean_masks_and_no_rebuilt_conv_input(rate, monkeypatch):
+    config = ModelConfig.for_variant("large", mwr_factor=8, dropout_rate=rate)
+    net = build(config, SeededRng(54))
+    sar, mwr = scene_arrays(np.random.default_rng(55), config, height=32, width=32)
+    conv_inputs = {}
+    conv2d = ops.conv2d
+
+    def recorded(x, kernels, *args, **kwargs):
+        conv_inputs[id(kernels)] = x
+        return conv2d(x, kernels, *args, **kwargs)
+
+    monkeypatch.setattr(ops, "conv2d", recorded)
+    fp = forward(net, sar, mwr, mode="train", rng=SeededRng(56), keep_cache=True)
+    block = (config.branch_width, 32, 32)
+    for branch, bc in zip(net.branches, fp.cache.branches):
+        read = [conv_inputs[id(conv.kernels)] for conv in branch.convs]
+        assert len(bc.conv_inputs) == 4
+        assert all(kept is x for kept, x in zip(bc.conv_inputs, read[:1] + read[1::2]))
+        records = [*bc.conv_inputs, *bc.relu_masks, *bc.drop_masks,
+                   *(array for norm_cache in bc.norm_caches for array in norm_cache)]
+        for x in read[2::2]:
+            assert not any(record is not None and np.shares_memory(record, x)
+                           for record in records)
+        if rate:
+            assert all(mask.dtype == np.bool_ and mask.shape == block
+                       for mask in bc.drop_masks)
+        else:
+            assert bc.drop_masks == [None] * 3
+
+
+def test_large_train_cache_stays_small():
+    # A large 64x64 train forward keeps about 31.7 MB: boolean dropout masks,
+    # and conv 2j inputs (j >= 1) rebuilt by backward.  Float64 keep-scales
+    # and every conv input kept 48.7 MB.
+    net = build(ModelConfig.for_variant("large", mwr_factor=8), SeededRng(57))
+    sar, mwr = scene_arrays(np.random.default_rng(58), net.config, height=64, width=64)
+    tracemalloc.start()
+    try:
+        fp = forward(net, sar, mwr, mode="train", rng=SeededRng(59), keep_cache=True)
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fp.cache.branches is not None
+    assert live < 36e6, live / 1e6

@@ -444,6 +444,22 @@ def test_report_formats_and_refusals(tmp_path):
         read_report(bad)
 
 
+# btemp_provenance values that are not a list of grid names: a string is
+# iterable and a dict is not a list.
+MALFORMED_GRIDS = (5, None, "native-grid", {"0": "native-grid"}, ["native-grid", 5],
+                   ["sar-grid"], [["native-grid"]])
+
+
+@pytest.mark.parametrize("grids", MALFORMED_GRIDS)
+@pytest.mark.parametrize("format", ["json", "csv"])
+def test_write_report_refuses_malformed_grid_lists(tmp_path, format, grids):
+    path = tmp_path / f"report.{format}"
+    report_file = ReportFile(report=hand_report(), provenance={"btemp_provenance": grids})
+    with pytest.raises(FormatError, match="btemp_provenance"):
+        write_report(report_file, path, format=format)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("grids, refused", [
     (None, False), ([], False), (["native-grid"] * 3, False),
     (["native-grid", "upsampled-grid"], True),
@@ -501,16 +517,10 @@ def test_report_listing_grid_names_reads_back_and_writes_through_its_check(
     ("top_ranking", [2, 1]),
     ("input_index", 2),
     # The provenance is a JSON object, and its btemp_provenance a list of
-    # grid names: a string is iterable and a dict is not a list.
+    # grid names.
     ("provenance", ["x"]),
     ("provenance", None),
-    ("provenance", {"btemp_provenance": 5}),
-    ("provenance", {"btemp_provenance": None}),
-    ("provenance", {"btemp_provenance": "native-grid"}),
-    ("provenance", {"btemp_provenance": {"0": "native-grid"}}),
-    ("provenance", {"btemp_provenance": ["native-grid", 5]}),
-    ("provenance", {"btemp_provenance": ["sar-grid"]}),
-    ("provenance", {"btemp_provenance": [["native-grid"]]}),
+    *(("provenance", {"btemp_provenance": grids}) for grids in MALFORMED_GRIDS),
 ])
 def test_report_indices_must_name_entries(tmp_path, field, indices):
     path = tmp_path / "report.json"
