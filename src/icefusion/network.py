@@ -279,7 +279,7 @@ class _BranchCache:
     """What one branch's backward reads and cannot cheaply rebuild.
 
     ``conv_inputs`` holds the inputs of conv 0 and of each conv 2j+1, and
-    ``drop_masks`` each block's boolean keep mask (None where dropout was
+    ``drop_masks`` the mask each block's dropout returned (None where it was
     the identity); backward rebuilds conv 2j's input for j >= 1 from them.
     """
 
@@ -474,11 +474,11 @@ def _branch_forward(branch: Branch, b: int, tap: np.ndarray, out: np.ndarray,
         x = ops.relu(x)
         x, norm_cache = ops.batch_norm(x, branch.norms[j], mode=mode)
         site_rng = rng.derive(_STREAM_DROPOUT, b, j) if rng is not None else None
-        x, scale = ops.dropout(x, cfg.dropout_rate, site_rng, mode=mode)
+        x, keep = ops.dropout(x, cfg.dropout_rate, site_rng, mode=mode)
         if keep_cache:
             cache.norm_caches.append(norm_cache)
-            cache.drop_masks.append(None if scale is None else scale > 0.0)
-        del norm_cache, scale
+            cache.drop_masks.append(keep)
+        del norm_cache, keep
     if cfg.mixing_activation == "relu":
         if keep_cache:
             cache.mix_mask = x > 0.0
@@ -510,11 +510,11 @@ def forward(
     of traced memory with two branches in flight, against 81 MB when every
     branch held its six conv inputs until it returned.  ``keep_cache`` keeps
     what :func:`backward` reads and cannot rebuild in an elementwise pass or
-    two: each dropout site's boolean mask, not its float64 keep-scale, and
-    no input of conv 2j for j >= 1, which backward rebuilds from block j-1's
-    normalized activation, gamma, beta and mask.  A large 64x64 train cache
-    then holds about 31.7 MB of traced memory (small: 17.5 MB), against
-    48.7 MB with keep-scales and every conv input.
+    two: each dropout site's boolean mask, as ``ops.dropout`` returned it,
+    and no input of conv 2j for j >= 1, which backward rebuilds from block
+    j-1's normalized activation, gamma, beta and mask.  A large 64x64 train
+    cache then holds about 31.7 MB of traced memory (small: 17.5 MB), against
+    48.7 MB with float64 keep-scales and every conv input.
     """
     sar = np.asarray(sar, dtype=np.float64)
     mwr = np.asarray(mwr, dtype=np.float64)
@@ -566,10 +566,6 @@ def forward(
     return ForwardPass(prob=prob, mixing_inputs=mixing_inputs, cache=cache)
 
 
-def _rebuilt_scale(mask: np.ndarray | None, rate: float) -> np.ndarray | None:
-    return None if mask is None else ops._mask_scale(mask, rate)
-
-
 def _branch_backward(branch: Branch, bc: _BranchCache, rate: float, coefficients: np.ndarray,
                      grad_logit: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Branch gradients from its block's mixing ``coefficients`` ([width, 1, 1]).
@@ -578,9 +574,9 @@ def _branch_backward(branch: Branch, bc: _BranchCache, rate: float, coefficients
     gradients, keyed in the order :func:`backward` reports them.  Every mask
     multiplies a gradient this function made, so it multiplies in place.
     Each record is popped from ``bc`` as it is read, so every activation is
-    freed once its gradients are formed and ``bc`` is left empty.  Each
-    block's keep-scale is rebuilt from its mask (at dropout ``rate``) once:
-    for conv 2j+2's input, then for the block's own gradient.
+    freed once its gradients are formed and ``bc`` is left empty.  A dropout
+    mask is applied as a relu mask is, then scaled by 1 / (1 - ``rate``),
+    both to the block's gradient and to the conv 2j input it rebuilds.
     """
     grads: dict[str, np.ndarray] = {}
     prefix = f"branch.{branch.dilation}"
@@ -595,11 +591,10 @@ def _branch_backward(branch: Branch, bc: _BranchCache, rate: float, coefficients
     g = coefficients * grad_logit
     if bc.mix_mask is not None:
         g *= bc.mix_mask
-    scale = _rebuilt_scale(bc.drop_masks.pop(), rate)
+    keep = bc.drop_masks.pop()
     for j in reversed(range(len(branch.norms))):
-        if scale is not None:
-            g *= scale
-        del scale
+        if keep is not None:
+            ops._apply_keep(g, keep, rate, out=g)
         g, d_gamma, d_beta = ops.batch_norm_backward(g, bc.norm_caches.pop(), branch.norms[j])
         grads[f"{prefix}.norm{j}.gamma"] = d_gamma
         grads[f"{prefix}.norm{j}.beta"] = d_beta
@@ -609,11 +604,11 @@ def _branch_backward(branch: Branch, bc: _BranchCache, rate: float, coefficients
             g = conv_backward(0, g, bc.conv_inputs.pop())
         else:
             # Conv 2j read block j-1's output: its normalized activation
-            # scaled and shifted, times its keep-scale, which block j-1 reuses.
-            scale = _rebuilt_scale(bc.drop_masks.pop(), rate)
+            # scaled and shifted, then dropped out by the mask block j-1 reuses.
+            keep = bc.drop_masks.pop()
             x = ops._scale_shift(bc.norm_caches[-1][0], branch.norms[j - 1])
-            if scale is not None:
-                x *= scale
+            if keep is not None:
+                ops._apply_keep(x, keep, rate, out=x)
             g = conv_backward(2 * j, g, x)
             del x
     return ops.avg_smooth_backward(g, branch.dilation), grads

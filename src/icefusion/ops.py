@@ -3,9 +3,9 @@
 All functions take and return float64 numpy arrays in one channel-first
 layout, a single scene's [C, H, W].  They never write to their inputs.
 ``batch_norm`` updates the running statistics on its state object in train
-mode.  ``dropout`` returns each keep-scale read-only.  Probe-sized draws are
-memoized, so finite-difference probes replay their masks; training draws are
-never held, and eval mode clears nothing.  Each backward
+mode.  ``dropout`` also returns its draw, as one read-only boolean keep mask.
+Probe-sized masks are memoized, so finite-difference probes replay them;
+training draws are never held, and eval mode clears nothing.  Each backward
 companion is the exact chain-rule transpose of its forward map, which the
 finite-difference suite verifies.
 
@@ -255,7 +255,9 @@ def conv2d_backward(grad_out, x, kernels, dilation: int = 1):
     grad_kernels = (g2 @ flat.T).reshape(cout, cin, k, k)
     # Free the window matrix before the equally large spread is built: with
     # both alive the heap grows past the allocator's trim threshold and is
-    # returned to the OS and faulted back in on every call.
+    # returned to the OS and faulted back in on every call.  The spread must
+    # not take the matrix's buffer instead: at k = 1 nothing is padded, and
+    # the matrix is a view of the caller's x.
     del flat
     grad_bias = grad_out.sum(axis=(1, 2))
 
@@ -554,38 +556,38 @@ def sigmoid(x) -> np.ndarray:
 
 
 # A SeededRng always draws the same values, so a memo hit is the draw itself.
-# An 8x8 probe's keep-scale (1,792 elements in the large variant) fits under
-# the bound; a 64x64 training step's (57,344 or more) does not.
+# An 8x8 probe's mask (1,792 elements in the large variant) fits under the
+# bound; a 64x64 training step's (57,344 or more) does not.
 _MEMO_MAX_ELEMENTS = 4096
 
 
-def _mask_scale(keep: np.ndarray, rate: float) -> np.ndarray:
-    """The keep-scale of a boolean keep mask: kept entries 1 / (1 - rate), the rest 0.
+@functools.lru_cache(maxsize=12)  # 4 branches x 3 blocks
+def _keep_mask(rng: SeededRng, shape: tuple[int, ...], rate: float) -> np.ndarray:
+    """The read-only boolean keep mask of one train-mode draw."""
+    keep = rng.random(shape) >= rate
+    keep.flags.writeable = False
+    return keep
 
-    A caller holding a draw's mask (``keep_scale > 0``) and its float rate
-    rebuilds the draw's keep-scale byte for byte.
+
+def _apply_keep(x, keep: np.ndarray, rate: float, out: np.ndarray | None = None) -> np.ndarray:
+    """``x * keep``, then times 1 / (1 - rate): :func:`dropout`'s output, or a masked gradient.
+
+    Each entry has the bits of ``x * (keep / (1 - rate))``: x * 1 = x, a dropped
+    signed zero keeps its sign through the positive scalar, and inf or NaN turn NaN alike.
     """
-    return keep.astype(np.float64) / (1.0 - rate)
-
-
-def _draw_keep_scale(rng: SeededRng, shape: tuple[int, ...], rate: float) -> np.ndarray:
-    """The read-only keep-scale of one train-mode draw."""
-    keep_scale = _mask_scale(rng.random(shape) >= rate, rate)
-    keep_scale.flags.writeable = False
-    return keep_scale
-
-
-_keep_scale = functools.lru_cache(maxsize=12)(_draw_keep_scale)  # 4 branches x 3 blocks
+    out = np.multiply(x, keep, out=out)
+    out *= 1.0 / (1.0 - rate)
+    return out
 
 
 def dropout(x, rate: float, rng: SeededRng | None, mode: str = "train"):
     """Inverted dropout: zero with probability ``rate``, rescale survivors.
 
-    Returns ``(output, keep_scale)`` where ``keep_scale`` is the mask already
-    divided by the keep probability (multiply upstream gradients by it), or
-    None when the op was an identity (eval mode or rate 0).
+    Returns ``(output, keep)`` where ``keep`` is the boolean mask of kept
+    entries (an upstream gradient takes it, then the scalar 1 / (1 - rate)),
+    or None when the op was an identity (eval mode or rate 0).
 
-    Train mode needs a :class:`SeededRng`.  The keep-scale is read-only.  A
+    Train mode needs a :class:`SeededRng`.  The mask is read-only.  A
     probe-sized one (at most 4,096 elements) is memoized, 12 at most, and
     replayed for an equal (rng, shape, rate); a training step's is never
     held once the call returns.  Eval mode clears nothing.
@@ -601,8 +603,9 @@ def dropout(x, rate: float, rng: SeededRng | None, mode: str = "train"):
         raise UsageError(
             f"train-mode dropout with a positive rate needs a SeededRng, got {type(rng).__name__}"
         )
-    draw = _keep_scale if x.size <= _MEMO_MAX_ELEMENTS else _draw_keep_scale
-    # One float for key and draw alike: an np.float32 rate equals its float64
-    # value as a key but would divide by a float32 keep probability.
-    keep_scale = draw(rng, x.shape, float(rate))
-    return x * keep_scale, keep_scale
+    draw = _keep_mask if x.size <= _MEMO_MAX_ELEMENTS else _keep_mask.__wrapped__
+    # One float for key, draw and scalar alike: an np.float32 rate equals its
+    # float64 value as a key but would scale by a float32 keep probability.
+    rate = float(rate)
+    keep = draw(rng, x.shape, rate)
+    return _apply_keep(x, keep, rate), keep

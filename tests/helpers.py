@@ -144,9 +144,12 @@ def avg_smooth_backward_reference(grad_out, d):
 
 
 def dropout_reference(x, rate, rng):
-    """Train-mode dropout drawn afresh from the stream: ``(output, keep_scale)``."""
-    keep_scale = (rng.random(x.shape) >= rate).astype(np.float64) / (1.0 - rate)
-    return x * keep_scale, keep_scale
+    """Train-mode dropout drawn afresh from the stream: ``(output, keep)``.
+
+    The output is one product with the float64 keep-scale ``keep / (1 - rate)``.
+    """
+    keep = rng.random(x.shape) >= rate
+    return x * (keep / (1.0 - rate)), keep
 
 
 def batch_norm_reference(x, state, mode):

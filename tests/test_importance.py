@@ -16,14 +16,16 @@ from icefusion.importance import (
     zscore,
     zscore_corrected,
 )
-from icefusion.network import ModelConfig, build, forward
+from icefusion.network import GROUP_BTEMP, ModelConfig, build, forward
 from icefusion.rng import SeededRng
-from icefusion.scenes import Scene
+from icefusion.scenes import Scene, SceneConfig, generate
 from icefusion.training import (
     NATIVE_GRID,
     UPSAMPLED_GRID,
     MixingStats,
+    TrainConfig,
     collect_mixing_stats,
+    train,
 )
 
 
@@ -329,3 +331,36 @@ def test_compare_refuses_non_integer_k(k):
     large = variant_report("large", BASE_SUMS)
     with pytest.raises(UsageError):
         compare_variants(small, large, k=k)
+
+
+# ---------------------------------------------------------------------------
+# Ground truth: the generator knows which btemp channels carry signal
+
+
+def informative_btemp_auc(window):
+    """AUC of |z| separating informative from noise btemp inputs in one seed window.
+
+    With ``mwr_informative_fraction`` 0.5 the generator drives btemp
+    channels 0-6 by the ice fraction and fills 7-13 with noise.  The recipe
+    is that of criteria 04-06 at 32x32 and mwr_factor 4: 8 scenes with seeds
+    from the window start, sar_ambiguity 0.8, mwr_noise 0.1, a small net and
+    10 epochs of lr 0.05, with build, shuffle and dropout seeded by the window.
+    """
+    scenes = [generate(SceneConfig(height=32, width=32, mwr_factor=4, sar_ambiguity=0.8,
+                                   mwr_noise=0.1, mwr_informative_fraction=0.5, seed=seed))
+              for seed in range(window, window + 8)]
+    net = build(ModelConfig.for_variant("small", mwr_factor=4), SeededRng(window))
+    net, _ = train(net, scenes, TrainConfig(learning_rate=0.05, epochs=10, seed=window))
+    report = analyze(net, collect_mixing_stats(net, scenes))
+    abs_z = [e.abs_z for e in report.entries if e.group == GROUP_BTEMP]
+    informative, noise = abs_z[:7], abs_z[7:]
+    return float(np.mean([[a > b for b in noise] for a in informative]))
+
+
+def test_abs_z_ranks_informative_btemp_inputs_above_noise():
+    # Measured: AUC 1.00 in all five windows, the smallest informative |z|
+    # 1.04x (window 32) to 3.65x (window 56) the largest noise |z|.  The
+    # bound leaves one window room to swap up to 7 of its 49 pairs.
+    aucs = {window: informative_btemp_auc(window) for window in (0, 8, 32, 48, 56)}
+    assert min(aucs.values()) >= 0.85, aucs
+    assert sum(auc == 1.0 for auc in aucs.values()) >= 4, aucs

@@ -6,7 +6,8 @@ names it defines or imports.  No module holds a memo that can grow without
 bound: every ``functools.lru_cache`` names an integer ``maxsize``, and
 ``functools.cache`` decorates only functions that take no arguments.  The
 only runtime dependencies are numpy and scipy: every module imports only
-the standard library, those two and the package itself.
+the standard library, those two and the package itself.  A module reaches
+another's private names only through the pinned ``PRIVATE_ALLOWLIST``.
 """
 import ast
 import sys
@@ -19,6 +20,16 @@ EXEMPT = {"__init__", "__main__", "version"}
 MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem not in EXEMPT)
 ALL_MODULES = sorted(path.stem for path in SRC.glob("*.py"))
 RUNTIME_PACKAGES = set(sys.stdlib_module_names) | {"numpy", "scipy", SRC.name}
+# Every private name one package module uses from another, as module.name.
+PRIVATE_ALLOWLIST = {
+    "errors._is_int",
+    "errors._is_real",
+    "network._MIXING_ACTIVATIONS",
+    "network._UPSAMPLE_MODES",
+    "network._value_count",
+    "ops._apply_keep",
+    "ops._scale_shift",
+}
 
 
 def parse(module):
@@ -187,3 +198,61 @@ def test_foreign_imports_are_caught():
     )
     assert foreign_imports(tree) == [
         "line 6: pandas", "line 8: matplotlib", "line 9: sklearn", "line 10: yaml"]
+
+
+def is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def foreign_private_names(tree):
+    """``module.name`` for each private name of another package module the module uses.
+
+    Counts ``from .module import _name`` and ``module._name`` where ``module``
+    came from ``from . import module``; the package is named relatively or in full.
+    """
+    def package_module(node):
+        if node.level == 1 and node.module:
+            return node.module
+        if node.level == 0 and node.module and node.module.startswith(f"{SRC.name}."):
+            return node.module.split(".", 1)[1]
+        return None
+
+    used, aliases = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = package_module(node)
+            if module:
+                used.update(f"{module}.{a.name}" for a in node.names if is_private(a.name))
+            elif node.level == 1 or node.module == SRC.name:
+                aliases.update({a.asname or a.name: a.name for a in node.names})
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and is_private(node.attr)):
+            used.add(f"{aliases[node.value.id]}.{node.attr}")
+    return used
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_module_uses_only_allowlisted_private_names(module):
+    stray = sorted(foreign_private_names(parse(module)) - PRIVATE_ALLOWLIST)
+    assert not stray, f"{module}.py uses private names of other modules: {stray}"
+
+
+def test_private_allowlist_names_only_names_in_use():
+    used = set().union(*(foreign_private_names(parse(module)) for module in ALL_MODULES))
+    assert PRIVATE_ALLOWLIST <= used, sorted(PRIVATE_ALLOWLIST - used)
+
+
+def test_foreign_private_names_are_caught():
+    tree = ast.parse(
+        "from . import ops, network as net\n"
+        "from .errors import UsageError, _is_int, __version__\n"
+        "from icefusion.storage import _atomic_write_bytes as write\n"
+        "from icefusion import rng\n"
+        "from numpy import _core\n"
+        "def f(x):\n"
+        "    return ops._mask_scale(x), net._value_count(x), rng._seed, ops.relu(x), x._y\n"
+    )
+    assert foreign_private_names(tree) == {
+        "errors._is_int", "storage._atomic_write_bytes", "ops._mask_scale",
+        "network._value_count", "rng._seed"}

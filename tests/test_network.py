@@ -260,12 +260,12 @@ def count_stream_draws(monkeypatch):
 def test_repeated_train_forward_replays_its_dropout_masks(monkeypatch):
     # 8x8 finite-difference probes replay one rng: the second forward draws
     # nothing, while its outputs stay those of a fresh draw.  A large 8x8
-    # keep-scale (28 x 8 x 8) is still small enough to be memoized.
+    # mask (28 x 8 x 8) is still small enough to be memoized.
     calls = count_stream_draws(monkeypatch)
     for variant in ("small", "large"):
         net = build(ModelConfig.for_variant(variant, mwr_factor=4), SeededRng(16))
         sar, mwr = scene_arrays(np.random.default_rng(17), net.config, height=8, width=8)
-        ops._keep_scale.cache_clear()
+        ops._keep_mask.cache_clear()
         calls.clear()
         a = forward(net, sar, mwr, mode="train", rng=SeededRng(2718))
         assert len(calls) == 12
@@ -279,7 +279,7 @@ def test_training_steps_draw_fresh_masks(monkeypatch):
     # serves them: each forward draws all 12 masks.
     net = small_net(seed=16, mwr_factor=4)
     sar, mwr = scene_arrays(np.random.default_rng(17), net.config, height=8, width=8)
-    ops._keep_scale.cache_clear()
+    ops._keep_mask.cache_clear()
     calls = count_stream_draws(monkeypatch)
     forward(net, sar, mwr, mode="train", rng=SeededRng(2718).derive(5, 0))
     assert len(calls) == 12

@@ -706,19 +706,20 @@ def test_relu_idempotent_and_sigmoid_range():
 
 def test_dropout_rate_zero_and_eval_are_identity():
     x = np.random.default_rng(19).normal(size=(3, 4, 4))
-    out, scale = dropout(x, 0.0, SeededRng(1), mode="train")
+    out, keep = dropout(x, 0.0, SeededRng(1), mode="train")
     npt.assert_array_equal(out, x)
-    assert scale is None
-    out, scale = dropout(x, 0.5, SeededRng(1), mode="eval")
+    assert keep is None
+    out, keep = dropout(x, 0.5, SeededRng(1), mode="eval")
     npt.assert_array_equal(out, x)
-    assert scale is None
+    assert keep is None
 
 
 def test_dropout_monte_carlo_mean():
     x = np.ones(1_000_000)
-    out, scale = dropout(x, 0.1, SeededRng(99), mode="train")
+    out, keep = dropout(x, 0.1, SeededRng(99), mode="train")
     assert abs(out.mean() - 1.0) < 0.01
-    npt.assert_array_equal(out, x * scale)
+    assert keep.dtype == np.bool_ and abs(keep.mean() - 0.9) < 0.01
+    npt.assert_array_equal(out, x * (keep / 0.9))
 
 
 def test_dropout_deterministic_per_stream():
@@ -750,19 +751,20 @@ def test_dropout_validation():
 def test_dropout_replays_the_fresh_draw_read_only(rate, shape):
     x = np.random.default_rng(41).normal(size=shape)
     rng = SeededRng(2024).derive(7, 1)
-    want_out, want_scale = dropout_reference(x, rate, rng)
-    first_out, first_scale = dropout(x, rate, rng, mode="train")
+    want_out, want_keep = dropout_reference(x, rate, rng)
+    first_out, first_keep = dropout(x, rate, rng, mode="train")
     npt.assert_array_equal(first_out, want_out)
-    npt.assert_array_equal(first_scale, want_scale)
+    assert first_keep.dtype == np.bool_
+    npt.assert_array_equal(first_keep, want_keep)
 
-    # An equal key replays the same values; the shared array cannot be edited.
-    out, scale = dropout(x, rate, SeededRng(2024).derive(7, 1), mode="train")
+    # An equal key replays the same values; the shared mask cannot be edited.
+    out, keep = dropout(x, rate, SeededRng(2024).derive(7, 1), mode="train")
     npt.assert_array_equal(out, want_out)
-    npt.assert_array_equal(scale, want_scale)
-    assert not scale.flags.writeable
+    npt.assert_array_equal(keep, want_keep)
+    assert not keep.flags.writeable
     with pytest.raises(ValueError):
-        scale[0, 0, 0] = 3.0
-    npt.assert_array_equal(first_scale, want_scale)
+        keep[0, 0, 0] = not keep[0, 0, 0]
+    npt.assert_array_equal(first_keep, want_keep)
 
 
 def test_dropout_each_key_gets_its_own_mask():
@@ -776,35 +778,56 @@ def test_dropout_each_key_gets_its_own_mask():
         (x, 0.5, rng),                            # another rate
     ]
     for xx, rate, stream in others:
-        _, scale = dropout(xx, rate, stream, mode="train")
-        npt.assert_array_equal(scale, dropout_reference(xx, rate, stream)[1])
-        assert scale.shape != first.shape or not np.array_equal(scale, first)
+        _, keep = dropout(xx, rate, stream, mode="train")
+        npt.assert_array_equal(keep, dropout_reference(xx, rate, stream)[1])
+        assert keep.shape != first.shape or not np.array_equal(keep, first)
     npt.assert_array_equal(dropout(x, 0.3, rng, mode="train")[1], first)
 
 
-def test_dropout_holds_no_training_sized_scale():
-    # A large 64x64 keep-scale is never memoized: once its caller drops it,
+def test_dropout_holds_no_training_sized_mask():
+    # A large 64x64 mask is never memoized: once its caller drops it,
     # nothing in ops keeps it alive.
     x = np.ones((28, 64, 64))
     rng = SeededRng(2024).derive(7, 4)
-    _, scale = dropout(x, 0.1, rng, mode="train")
-    assert not scale.flags.writeable
-    npt.assert_array_equal(scale, dropout_reference(x, 0.1, rng)[1])
-    ref = weakref.ref(scale)
-    del scale
+    _, keep = dropout(x, 0.1, rng, mode="train")
+    assert not keep.flags.writeable
+    npt.assert_array_equal(keep, dropout_reference(x, 0.1, rng)[1])
+    ref = weakref.ref(keep)
+    del keep
     assert ref() is None
 
 
-def test_dropout_holds_and_replays_a_probe_sized_scale():
-    # A large 8x8 keep-scale is memoized, an eval call clears nothing, and an
+def test_dropout_holds_and_replays_a_probe_sized_mask():
+    # A large 8x8 mask is memoized, an eval call clears nothing, and an
     # equal key gets the held array back without a redraw.
     x = np.ones((28, 8, 8))
-    _, scale = dropout(x, 0.1, SeededRng(2024).derive(7, 5), mode="train")
-    ref = weakref.ref(scale)
-    del scale
+    _, keep = dropout(x, 0.1, SeededRng(2024).derive(7, 5), mode="train")
+    ref = weakref.ref(keep)
+    del keep
     assert ref() is not None
     dropout(x, 0.1, None, mode="eval")
     assert dropout(x, 0.1, SeededRng(2024).derive(7, 5), mode="train")[1] is ref()
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.3, 0.5, 0.9])
+def test_dropout_mask_then_scalar_has_the_keep_scale_product_bytes(rate):
+    # The mask, then the scalar 1 / (1 - rate), gives the bytes of one product
+    # with the float64 keep-scale keep / (1 - rate): a dropped -0.0 stays
+    # -0.0 and a dropped inf turns NaN, as in the product.
+    x = np.resize(np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5, 3.0]),
+                  (14, 8, 8))
+    with np.errstate(invalid="ignore"):  # inf * 0
+        out, keep = dropout(x, rate, SeededRng(2024).derive(7, 6), mode="train")
+        keep_scale = keep / (1.0 - rate)
+        assert out.tobytes() == (x * keep_scale).tobytes()
+        # Backward masks a gradient it owns in place, through the same helper.
+        g = x[..., ::-1].copy()
+        want = (g * keep_scale).tobytes()
+        assert ops._apply_keep(g, keep, rate).tobytes() == want
+        assert ops._apply_keep(g, keep, rate, out=g) is g
+        assert g.tobytes() == want
+    for special in (np.signbit(x) & (x == 0.0), np.isposinf(x), np.isneginf(x)):
+        assert keep[special].any() and not keep[special].all()
 
 
 def test_dropout_train_mode_refuses_stateful_generators():

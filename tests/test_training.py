@@ -296,14 +296,14 @@ def test_train_batch_accumulation_runs():
     assert len(history) == 1 and math.isfinite(history[0])
 
 
-def test_train_leaves_no_keep_scale_in_the_memo():
-    # A 32x32 step's keep-scales (14 x 32 x 32) are past the memo's size
-    # bound, so none of them outlives the step that drew it.
+def test_train_leaves_no_mask_in_the_memo():
+    # A 32x32 step's masks (14 x 32 x 32) are past the memo's size bound, so
+    # none of them outlives the step that drew it.
     scenes = training_scenes(n=2, hw=32)
     net = build(ModelConfig.for_variant("small", mwr_factor=4), SeededRng(5))
-    ops._keep_scale.cache_clear()
+    ops._keep_mask.cache_clear()
     train(net, scenes, TrainConfig(learning_rate=0.05, epochs=1, seed=6))
-    assert ops._keep_scale.cache_info().currsize == 0
+    assert ops._keep_mask.cache_info().currsize == 0
 
 
 def _hand_gradients(net, scene, step_rng):
