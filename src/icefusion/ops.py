@@ -18,6 +18,11 @@ path.  Kernel taps whose dilated offset reaches past the whole grid read only
 zero padding; ``conv2d`` leaves them out of the window matrix and the GEMM, and
 when no kept tap leaves the grid it pads and copies nothing.
 
+``sigmoid`` takes its exp from libm through ``math.exp``, one element at a
+time: numpy's SIMD ``np.exp`` differs from libm in the last bit for some
+inputs, and libm's exp is what ``scipy.special.expit`` computes, so the
+output layer keeps expit's bits with numpy alone.
+
 ``conv2d_backward`` adds each tap's input gradient as one contiguous shift of
 the flattened image; columns that would wrap across a row end are zeroed, and
 the +0 they add changes no bit, since the gradient never holds -0.
@@ -35,10 +40,10 @@ covers the whole grid (8x8 and other small grids), ``conv2d`` is a single
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     ConfigurationError,
@@ -543,15 +548,35 @@ def relu(x) -> np.ndarray:
     return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
 
 
+def _exp_or_inf(v: float) -> float:
+    """libm's exp of ``v``, with an overflow read as inf instead of raised."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
 def sigmoid(x) -> np.ndarray:
-    """Numerically stable logistic function, elementwise.
+    """Numerically stable logistic function ``1 / (1 + exp(-x))``, elementwise.
+
+    The exp is libm's, through ``math.exp``, as in ``scipy.special.expit``,
+    whose bits this keeps: numpy's SIMD ``np.exp`` differs from libm in the
+    last bit for some inputs.  Where -x is past exp's overflow (about 709.78)
+    the exp is inf and the result 0, and inf, NaN and signed zeros come out
+    as ``expit`` gives them.
 
     The output is clamped to the largest representable open interval inside
     (0, 1): float64 saturates the true sigmoid to exactly 0 or 1 for |x| in
     the high thirties, and downstream cross entropy needs strict interior
     values.
     """
-    out = expit(np.asarray(x, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
+    neg = memoryview(np.negative(x).ravel())  # iterates as Python floats
+    try:  # math.exp straight, unless some -x overflows it
+        exp = np.fromiter(map(math.exp, neg), np.float64, count=len(neg))
+    except OverflowError:
+        exp = np.fromiter(map(_exp_or_inf, neg), np.float64, count=len(neg))
+    out = 1.0 / (1.0 + exp.reshape(x.shape))
     return np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .errors import ConfigurationError, DimensionError, _is_int, _is_real
 from .rng import SeededRng
@@ -34,6 +33,11 @@ _STREAM_SAR = 2
 # per-channel weight of the edge-texture term.
 _SAR_CONTRAST = (2.0, 1.2)
 _SAR_EDGE_WEIGHT = (1.0, 0.8)
+
+# Largest blob_scale a config accepts, far past any grid's correlation length.
+# The Gaussian kernel is 8 * blob_scale + 1 taps wide, so without a bound a
+# huge scale fails inside the filter instead of at the config.
+_MAX_BLOB_SCALE = 1e4
 
 
 @dataclass(frozen=True)
@@ -79,8 +83,10 @@ class SceneConfig:
             raise ConfigurationError(
                 f"informative fraction must lie in (0, 1], got {self.mwr_informative_fraction}"
             )
-        if self.blob_scale <= 0.0:
-            raise ConfigurationError(f"blob scale must be positive, got {self.blob_scale}")
+        if not 0.0 < self.blob_scale <= _MAX_BLOB_SCALE:
+            raise ConfigurationError(
+                f"blob scale must lie in (0, {_MAX_BLOB_SCALE:g}], got {self.blob_scale}"
+            )
         if self.edge_amplitude < 0.0:
             raise ConfigurationError(
                 f"edge amplitude must be non-negative, got {self.edge_amplitude}"
@@ -134,6 +140,9 @@ def generate(cfg: SceneConfig) -> Scene:
     fraction is balanced and ``blob_scale`` sets the correlation length of
     the regions.
     """
+    # Imported here so that only scene synthesis loads scipy (about 20 MB).
+    from scipy.ndimage import gaussian_filter
+
     rng = SeededRng(cfg.seed)
     height, width = cfg.height, cfg.width
 

@@ -1,6 +1,11 @@
-"""Public surface: the package root's exports and the command line defaults."""
+"""Public surface: the package root's exports, the command line defaults and
+which modules importing the package loads."""
 import dataclasses
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -108,3 +113,36 @@ def test_train_defaults_match_model_and_train_config(tmp_path, monkeypatch):
     assert {name: getattr(built["model"], name) for name in want} == want
     want = field_defaults(TrainConfig)
     assert {name: getattr(built["train"], name) for name in want} == want
+
+
+# Runs in a fresh interpreter, so no test run before it has loaded scipy.
+NO_SCIPY_UNTIL_SCENES = """
+import sys
+import numpy as np
+from icefusion import (ModelConfig, Scene, SceneConfig, SeededRng, analyze, backward,
+                       bce_loss, build, collect_mixing_stats, forward, generate, sgd_step)
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+rng = np.random.default_rng(0)
+scene = Scene(sar=rng.normal(size=(2, 16, 16)), mwr=rng.normal(size=(14, 4, 4)),
+              label=(rng.random((1, 16, 16)) < 0.5).astype(np.float64))
+net = build(ModelConfig.for_variant("small", mwr_factor=4), SeededRng(1))
+fp = forward(net, scene.sar, scene.mwr, mode="train", rng=SeededRng(2), keep_cache=True)
+_, grad_logit = bce_loss(fp.prob, scene.label)
+sgd_step(net, backward(net, fp.cache, grad_logit), 0.05)
+analyze(net, collect_mixing_stats(net, [scene]))
+assert scipy_modules() == [], scipy_modules()
+generate(SceneConfig(height=16, width=16, mwr_factor=4, seed=3))
+assert "scipy.ndimage" in sys.modules, scipy_modules()
+"""
+
+
+def test_only_scene_synthesis_loads_scipy():
+    src = str(Path(icefusion.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_UNTIL_SCENES], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

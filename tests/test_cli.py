@@ -209,7 +209,8 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         assert code == 2 and err.startswith("E_USAGE:") and out == ""
     assert not (tmp_path / "e").exists()
     # a non-finite dial is refused before any scene is written
-    for extra in (["--mwr-noise", "nan"], ["--edge-amplitude", "inf"], ["--blob-scale", "inf"]):
+    for extra in (["--mwr-noise", "nan"], ["--edge-amplitude", "inf"], ["--blob-scale", "inf"],
+                  ["--blob-scale", "1e308"]):
         code, out, err = run(capsys, "gen-data", "--out", str(tmp_path / "f"),
                              "--scenes", "1", *extra)
         assert code == 2 and err.startswith("E_CONFIG:") and out == ""

@@ -704,6 +704,40 @@ def test_relu_idempotent_and_sigmoid_range():
     assert np.all((s > 0.0) & (s < 1.0))
 
 
+def sigmoid_cases():
+    """[1, H, W] inputs: normal draws at scales 1-400, a dense grid over
+    [-800, 800], both sides of exp's overflow and the special values."""
+    rng = np.random.default_rng(21)
+    for scale in (1, 4, 16, 40, 100, 400):
+        yield pytest.param(scale * rng.normal(size=(1, 64, 64)), id=f"normal-{scale}")
+    grid = np.linspace(-800.0, 800.0, 400_001)[:-1].reshape(1, 400, 1000)
+    yield pytest.param(grid, id="grid")
+    edge = np.log(np.finfo(np.float64).max)  # exp overflows just above this
+    near = [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
+    near += [edge - 1e-9, edge + 1e-9, 709.0, 710.0, 745.0, 746.0, 1e3, 1e300]
+    yield pytest.param(np.array([near, np.negative(near)]).reshape(1, 2, -1), id="overflow")
+    yield pytest.param(np.array([[[np.inf, -np.inf, np.nan, 0.0, -0.0]]]), id="special")
+
+
+@pytest.mark.parametrize("x", sigmoid_cases())
+def test_sigmoid_matches_clamped_expit_bit_for_bit(x):
+    # scipy is only the oracle here: the op takes its exp from libm alone.
+    from scipy.special import expit
+
+    def bits(v):
+        return np.asarray(v, dtype=np.float64).view(np.int64)
+
+    def oracle(v):
+        return np.clip(expit(v), np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+
+    out = sigmoid(x)
+    assert out.shape == x.shape and out.dtype == np.float64
+    npt.assert_array_equal(bits(out), bits(oracle(x)))
+    for v in x.ravel()[:: max(1, x.size // 50)]:  # 0-d inputs
+        scalar = sigmoid(np.asarray(v))
+        assert np.shape(scalar) == () and bits(scalar) == bits(oracle(v))
+
+
 def test_dropout_rate_zero_and_eval_are_identity():
     x = np.random.default_rng(19).normal(size=(3, 4, 4))
     out, keep = dropout(x, 0.0, SeededRng(1), mode="train")

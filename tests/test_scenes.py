@@ -102,8 +102,12 @@ def test_config_validation():
         SceneConfig(mwr_noise=-0.1)
     with pytest.raises(ConfigurationError):
         SceneConfig(mwr_informative_fraction=0.0)
-    with pytest.raises(ConfigurationError):
-        SceneConfig(blob_scale=0.0)
+    # A blob scale past the documented maximum would overflow the Gaussian
+    # kernel's radius or exhaust memory inside the filter.
+    assert SceneConfig(blob_scale=1e4).blob_scale == 1e4
+    for bad in (0.0, np.nextafter(1e4, math.inf), 1e308):
+        with pytest.raises(ConfigurationError):
+            SceneConfig(blob_scale=bad)
     with pytest.raises(ConfigurationError):
         SceneConfig(edge_amplitude=-1.0)
     # Counts are true integers and dials true numbers: bools are refused.
