@@ -10,13 +10,14 @@ companion is the exact chain-rule transpose of its forward map, which the
 finite-difference suite verifies.
 
 ``conv2d`` builds its im2col window matrix one band of whole output rows at a
-time, about 512 KiB each, so that the matrix and its GEMM stay in cache
-instead of streaming a whole-image window matrix (16-32 MB at 128x128) from
-memory.  Each band is one strided view of the padded input, copied into a
-contiguous matrix in a single C-level pass, so the GEMM stays on the BLAS
-path.  Kernel taps whose dilated offset reaches past the whole grid read only
-zero padding; ``conv2d`` leaves them out of the window matrix and the GEMM, and
-when no kept tap leaves the grid it pads and copies nothing.
+time instead of one whole-image matrix (16-32 MB at 128x128).  Each band's
+GEMM does at most 14 * 2**16 multiply-adds, under the 10**6 up to which
+OpenBLAS runs an unpacked small-matrix kernel, fastest when the window
+matrix starts on a 64-byte boundary.  So each band's strided view of the
+padded input is copied in one C-level pass into one 64-byte-aligned buffer,
+made once per call.  Kernel taps whose dilated offset reaches past the whole
+grid read only zero padding; ``conv2d`` leaves them out of the window matrix
+and the GEMM, and when no kept tap leaves the grid it pads and copies nothing.
 
 ``sigmoid`` takes its exp from libm through ``math.exp``, one element at a
 time: numpy's SIMD ``np.exp`` differs from libm in the last bit for some
@@ -29,11 +30,11 @@ the +0 they add changes no bit, since the gradient never holds -0.
 
 Geometry that depends only on shapes is worked out once and cached in bounded
 ``functools.lru_cache`` tables, so a call on a shape seen before does only
-array work: the conv plan per (Cin, k, dilation, H, W) holds the kept taps,
-the row bands and the flat shifts and wrap columns ``conv2d_backward`` adds
-through; the window counts of ``avg_smooth`` and the source rows, columns and
-blend weights of bilinear ``upsample`` are cached per grid.  Cached entries
-are immutable or read-only, and no public op returns one.  When one band
+array work: the conv plan per (Cout, Cin, k, dilation, H, W) holds the kept
+taps, the row bands and the flat shifts and wrap columns ``conv2d_backward``
+adds through; the window counts of ``avg_smooth`` and the source rows,
+columns and blend weights of bilinear ``upsample`` are cached per grid.
+Cached entries are immutable or read-only, and no public op returns one.  When one band
 covers the whole grid (8x8 and other small grids), ``conv2d`` is a single
 ``weights @ windows`` GEMM with no output buffer to fill band by band.
 """
@@ -80,10 +81,13 @@ def _as_float64(x, name: str, ndim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Convolution
 
-# Bytes of im2col window matrix built per band of output rows.  A band and the
-# output columns its GEMM writes stay in a 2-4 MiB L2 cache, where a
-# whole-image window matrix (16-32 MB at 128x128) would stream from memory.
-_BAND_BYTES = 512 * 1024
+# Multiply-adds of one band's GEMM, cout x cin*ky*kx x band columns.  OpenBLAS
+# 0.3.31 runs a DGEMM of at most 10**6 of them on an unpacked small-matrix
+# kernel: on one Xeon thread 28x252x128 ran at 48-77 GFLOP/s with its window
+# matrix 64-byte aligned and 36-50 with it 8-48 bytes off, and 28x252x256, on
+# the packed kernel, at 34-46 (BENCH_22.json).  A band's window matrix is
+# then at most 512 KiB for 14 outputs and 256 KiB for 28.
+_BAND_MACS = 14 * 2**16
 
 
 def _kept_taps(k: int, dilation: int, n: int) -> slice:
@@ -104,7 +108,7 @@ def _tap_slices(offset: int, n: int) -> tuple[slice, slice]:
 
 @dataclass(frozen=True)
 class _ConvPlan:
-    """Geometry of one conv2d shape, worked out once per (cin, k, dilation, H, W).
+    """Geometry of one conv2d shape, worked out once per (cout, cin, k, dilation, H, W).
 
     ``rows`` and ``cols`` are the kept taps of each axis (see
     :func:`_kept_taps`) and ``bands`` the [y0, y1) output-row ranges of the
@@ -124,10 +128,10 @@ class _ConvPlan:
 
 
 @functools.lru_cache(maxsize=64)
-def _conv_plan(cin: int, k: int, dilation: int, height: int, width: int) -> _ConvPlan:
+def _conv_plan(cout: int, cin: int, k: int, dilation: int, height: int, width: int) -> _ConvPlan:
     rows, cols = _kept_taps(k, dilation, height), _kept_taps(k, dilation, width)
     ky, kx = rows.stop - rows.start, cols.stop - cols.start
-    band = max(1, _BAND_BYTES // (8 * cin * ky * kx * width))
+    band = max(1, _BAND_MACS // (cout * cin * ky * kx * width))
     bands = tuple((y0, min(y0 + band, height)) for y0 in range(0, height, band))
     center = (k - 1) // 2
     offsets = [(t, (t - center) * dilation) for t in range(k)]
@@ -155,22 +159,26 @@ def _padded(x: np.ndarray, rows: slice, cols: slice, dilation: int) -> np.ndarra
 
 
 def _dilated_windows(padded: np.ndarray, ky: int, kx: int, dilation: int,
-                     y0: int, y1: int) -> np.ndarray:
+                     y0: int, y1: int, buffer: np.ndarray | None = None) -> np.ndarray:
     """The ky x kx dilated taps at output rows [y0, y1), flattened for matmul (im2col).
 
     ``padded`` comes from :func:`_padded`; returns the
     (Cin * ky * kx, (y1 - y0) * W) window matrix.  The taps are one strided
-    (Cin, ky, kx, rows, W) view of ``padded``, and the reshape copies it into
-    a contiguous matrix in one C-level pass.  The copy is deliberate: a GEMM
-    on the strided view itself would leave the BLAS path.  With a single tap
-    the rows of the view are already whole image rows, so the reshape is a
-    view of ``padded`` and nothing is copied.
+    (Cin, ky, kx, rows, W) view of ``padded``, copied in one C-level pass into
+    the head of the flat ``buffer`` if one is given, else by the reshape.  The
+    copy is deliberate: a GEMM on the strided view itself would leave the BLAS
+    path.  With a single tap the rows of the view are already whole image
+    rows, so the reshape is a view of ``padded`` and nothing is copied.
     """
     cin, _, padded_width = padded.shape
     width = padded_width - (kx - 1) * dilation
     plane, row, col = padded.strides
     taps = np.ndarray((cin, ky, kx, y1 - y0, width), np.float64, padded, y0 * row,
                       (plane, dilation * row, dilation * col, row, col))
+    if buffer is not None and ky * kx > 1:
+        win = buffer[:taps.size].reshape(taps.shape)
+        win[...] = taps
+        return win.reshape(cin * ky * kx, (y1 - y0) * width)
     win = taps.reshape(cin * ky * kx, (y1 - y0) * width)
     # One channel with one column tap reshapes to a view of overlapping rows.
     if ky * kx > 1 and not win.flags.c_contiguous:
@@ -204,8 +212,10 @@ def conv2d(x, kernels, bias, dilation: int = 1) -> np.ndarray:
     Taps with |dilation*(t - c)| at or past the grid's height (rows) or width
     (columns) read only padding and are skipped; the input is padded only by
     the reach of the taps kept.  The im2col window matrix is built one band
-    of whole output rows at a time, about 512 KiB each, and each band's GEMM
-    writes its own columns of the output.
+    of whole output rows at a time, each band's GEMM within ``_BAND_MACS``
+    multiply-adds so that OpenBLAS keeps it on its small-matrix kernel.  Every
+    band's windows go into one 64-byte-aligned buffer, and its GEMM writes
+    its own columns of the output.
     """
     x = _as_float64(x, "input", 3)
     kernels = _as_float64(kernels, "kernels", 4)
@@ -215,7 +225,7 @@ def conv2d(x, kernels, bias, dilation: int = 1) -> np.ndarray:
     if bias.shape[0] != cout:
         raise DimensionError(f"bias has {bias.shape[0]} entries, expected {cout}")
     height, width = x.shape[1:]
-    plan = _conv_plan(cin, k, dilation, height, width)
+    plan = _conv_plan(cout, cin, k, dilation, height, width)
     ky, kx = plan.ky, plan.kx
     weights = kernels[:, :, plan.rows, plan.cols].reshape(cout, cin * ky * kx)
     padded = _padded(x, plan.rows, plan.cols, dilation)
@@ -223,8 +233,10 @@ def conv2d(x, kernels, bias, dilation: int = 1) -> np.ndarray:
         out = weights @ _dilated_windows(padded, ky, kx, dilation, 0, height)
     else:
         out = np.empty((cout, height * width))
+        raw = np.empty(weights.shape[1] * plan.bands[0][1] * width + 7)
+        buffer = raw[-raw.ctypes.data % 64 // 8:]  # 64-byte aligned
         for y0, y1 in plan.bands:
-            np.matmul(weights, _dilated_windows(padded, ky, kx, dilation, y0, y1),
+            np.matmul(weights, _dilated_windows(padded, ky, kx, dilation, y0, y1, buffer),
                       out=out[:, y0 * width:y1 * width])
     out = out.reshape(cout, height, width)
     out += bias[:, None, None]
@@ -266,7 +278,7 @@ def conv2d_backward(grad_out, x, kernels, dilation: int = 1):
     del flat
     grad_bias = grad_out.sum(axis=(1, 2))
 
-    plan = _conv_plan(cin, k, dilation, height, width)
+    plan = _conv_plan(cout, cin, k, dilation, height, width)
     spread = (kernels.reshape(cout, cin * k * k).T @ g2).reshape(cin, k, k, height, width)
     for tx, x0, x1 in plan.wrap:
         spread[:, plan.rows, tx, :, x0:x1] = 0.0

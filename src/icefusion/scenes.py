@@ -39,6 +39,11 @@ _SAR_EDGE_WEIGHT = (1.0, 0.8)
 # huge scale fails inside the filter instead of at the config.
 _MAX_BLOB_SCALE = 1e4
 
+# Largest mwr_noise and edge_amplitude a config accepts, where the class signal
+# is a millionth of the term the dial scales.  From about 1e154 an mwr channel's
+# variance overflows to inf (all zeros out), and near 1e308 it comes out NaN.
+_MAX_AMPLITUDE = 1e6
+
 
 @dataclass(frozen=True)
 class SceneConfig:
@@ -77,8 +82,10 @@ class SceneConfig:
             raise ConfigurationError(
                 f"sar ambiguity must lie in [0, 1], got {self.sar_ambiguity}"
             )
-        if self.mwr_noise < 0.0:
-            raise ConfigurationError(f"mwr noise must be non-negative, got {self.mwr_noise}")
+        if not 0.0 <= self.mwr_noise <= _MAX_AMPLITUDE:
+            raise ConfigurationError(
+                f"mwr noise must lie in [0, {_MAX_AMPLITUDE:g}], got {self.mwr_noise}"
+            )
         if not 0.0 < self.mwr_informative_fraction <= 1.0:
             raise ConfigurationError(
                 f"informative fraction must lie in (0, 1], got {self.mwr_informative_fraction}"
@@ -87,9 +94,9 @@ class SceneConfig:
             raise ConfigurationError(
                 f"blob scale must lie in (0, {_MAX_BLOB_SCALE:g}], got {self.blob_scale}"
             )
-        if self.edge_amplitude < 0.0:
+        if not 0.0 <= self.edge_amplitude <= _MAX_AMPLITUDE:
             raise ConfigurationError(
-                f"edge amplitude must be non-negative, got {self.edge_amplitude}"
+                f"edge amplitude must lie in [0, {_MAX_AMPLITUDE:g}], got {self.edge_amplitude}"
             )
 
 

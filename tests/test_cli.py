@@ -223,6 +223,16 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         assert code == 2 and err.startswith("E_CONFIG:") and out == ""
 
 
+@pytest.mark.parametrize("flag", ["--mwr-noise", "--edge-amplitude"])
+def test_gen_data_refuses_a_dial_past_its_bound(capsys, tmp_path, flag):
+    # At 1e308 a channel overflows into inf and NaN; nothing may be written.
+    code, out, err = run(capsys, "gen-data", "--out", str(tmp_path / "d"), "--scenes", "1",
+                         "--height", "16", "--width", "16", "--mwr-factor", "4", flag, "1e308")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("E_CONFIG:") and "[0, 1e+06]" in err
+    assert not (tmp_path / "d").exists()
+
+
 def test_train_refuses_a_dataset_the_variant_cannot_read(capsys, tmp_path):
     # the published variants read 14 radiometer channels
     data = tmp_path / "data"

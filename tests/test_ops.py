@@ -122,17 +122,18 @@ def test_conv2d_validation():
         conv2d_backward(np.zeros((1, 4, 4)), x, np.zeros((1, 2, 3, 3)), dilation=True)
 
 
-@pytest.mark.parametrize("shape", [(14, 70, 37), (28, 96, 96)])
+@pytest.mark.parametrize("shape", [(14, 14, 70, 37), (28, 28, 96, 96), (14, 28, 64, 64),
+                                   (28, 28, 40, 37)])
 def test_conv2d_bands_match_one_whole_image_gemm_on_integers(shape):
     # Integer sums are exact in any order, so the banded GEMMs must equal
     # one GEMM over the whole-image window matrix bit for bit.
-    cin, height, width = shape
-    assert cin * 9 * height * width * 8 > 4 * ops._BAND_BYTES  # several bands
+    cin, cout, height, width = shape
+    assert cout * cin * 9 * height * width > 4 * ops._BAND_MACS  # several bands
     rng = np.random.default_rng(cin + height)
     for dilation in range(1, 17):
-        x = rng.integers(-4, 5, size=shape).astype(float)
-        kernels = rng.integers(-3, 4, size=(cin, cin, 3, 3)).astype(float)
-        bias = rng.integers(-3, 4, size=cin).astype(float)
+        x = rng.integers(-4, 5, size=(cin, height, width)).astype(float)
+        kernels = rng.integers(-3, 4, size=(cout, cin, 3, 3)).astype(float)
+        bias = rng.integers(-3, 4, size=cout).astype(float)
         npt.assert_array_equal(conv2d(x, kernels, bias, dilation=dilation),
                                conv2d_single_gemm(x, kernels, bias, dilation),
                                err_msg=f"dilation {dilation}")
@@ -143,14 +144,53 @@ def test_conv2d_bands_agree_with_one_whole_image_gemm_on_floats():
     # the last bits of a float sum.  Those bits scale with the summed terms,
     # not with an output that cancels to near zero, hence the atol.
     rng = np.random.default_rng(37)
-    for dilation in range(1, 17):
-        x = rng.normal(size=(14, 40, 37))
-        kernels = rng.normal(size=(14, 14, 3, 3))
-        bias = rng.normal(size=14)
-        want = conv2d_single_gemm(x, kernels, bias, dilation)
-        npt.assert_allclose(conv2d(x, kernels, bias, dilation=dilation), want,
-                            rtol=1e-13, atol=1e-13 * np.abs(want).max(),
-                            err_msg=f"dilation {dilation}")
+    for cin, cout in ((14, 14), (14, 28), (28, 28)):
+        for dilation in range(1, 17):
+            x = rng.normal(size=(cin, 40, 37))
+            kernels = rng.normal(size=(cout, cin, 3, 3))
+            bias = rng.normal(size=cout)
+            want = conv2d_single_gemm(x, kernels, bias, dilation)
+            npt.assert_allclose(conv2d(x, kernels, bias, dilation=dilation), want,
+                                rtol=1e-13, atol=1e-13 * np.abs(want).max(),
+                                err_msg=f"{cin}->{cout} dilation {dilation}")
+
+
+@pytest.mark.parametrize("grid", [8, 32, 64, 128])
+def test_conv2d_bands_stay_on_the_small_gemm_kernel_in_one_aligned_buffer(grid, monkeypatch):
+    # Each band's GEMM does at most _BAND_MACS multiply-adds; 14 outputs keep
+    # the row bands of 512 KiB window matrices.  Every band's windows sit at
+    # the head of one 64-byte-aligned buffer that the result never aliases.
+    windows = []
+    dilated_windows = ops._dilated_windows
+
+    def recording(*args):
+        windows.append(dilated_windows(*args))
+        return windows[-1]
+
+    monkeypatch.setattr(ops, "_dilated_windows", recording)
+    rng = np.random.default_rng(grid)
+    for cin in (2, 14, 28):
+        x = rng.normal(size=(cin, grid, grid))
+        for cout in (2, 14, 28):
+            kernels, bias = rng.normal(size=(cout, cin, 3, 3)), rng.normal(size=cout)
+            for dilation in (1, 2, 4, 8, 16):
+                plan = ops._conv_plan(cout, cin, 3, dilation, grid, grid)
+                taps = cin * plan.ky * plan.kx
+                for y0, y1 in plan.bands:
+                    assert cout * taps * (y1 - y0) * grid <= ops._BAND_MACS
+                if cout == 14:
+                    rows = max(1, 512 * 1024 // (8 * taps * grid))
+                    assert plan.bands[0] == (0, min(rows, grid))
+                windows.clear()
+                out = conv2d(x, kernels, bias, dilation=dilation)
+                assert len(windows) == len(plan.bands)
+                if len(plan.bands) > 1:
+                    assert windows[0].ctypes.data % 64 == 0
+                    for win in windows:
+                        assert win.ctypes.data == windows[0].ctypes.data
+                        assert not np.shares_memory(win, out)
+                npt.assert_allclose(out, conv2d_single_gemm(x, kernels, bias, dilation),
+                                    rtol=1e-12, atol=1e-12 * np.abs(out).max())
 
 
 @pytest.mark.parametrize("cin", [2, 14])
@@ -159,7 +199,7 @@ def test_conv2d_one_band_grid_is_one_gemm_on_integers(cin):
     # over the kept taps, equal to one over every tap on integer inputs.
     rng = np.random.default_rng(cin)
     for dilation in range(1, 17):
-        assert len(ops._conv_plan(cin, 3, dilation, 8, 8).bands) == 1
+        assert len(ops._conv_plan(cin, cin, 3, dilation, 8, 8).bands) == 1
         x = rng.integers(-4, 5, size=(cin, 8, 8)).astype(float)
         kernels = rng.integers(-3, 4, size=(cin, cin, 3, 3)).astype(float)
         bias = rng.integers(-3, 4, size=cin).astype(float)
@@ -195,8 +235,8 @@ def test_geometry_caches_are_immutable_and_never_handed_out():
     x = rng.normal(size=(3, 8, 8))
     kernels, bias = rng.normal(size=(3, 3, 3, 3)), rng.normal(size=3)
     conv2d(x, kernels, bias, dilation=2)
-    plan = ops._conv_plan(3, 3, 2, 8, 8)
-    assert ops._conv_plan(3, 3, 2, 8, 8) is plan
+    plan = ops._conv_plan(3, 3, 3, 2, 8, 8)
+    assert ops._conv_plan(3, 3, 3, 2, 8, 8) is plan
     with pytest.raises(AttributeError):
         plan.bands = ()
     assert all(isinstance(field, tuple) for field in (plan.bands, plan.wrap, plan.scatter))

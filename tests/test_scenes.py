@@ -110,6 +110,11 @@ def test_config_validation():
             SceneConfig(blob_scale=bad)
     with pytest.raises(ConfigurationError):
         SceneConfig(edge_amplitude=-1.0)
+    # Far past 1e6 a noise or edge dial overflows a channel into inf and NaN.
+    for name in ("mwr_noise", "edge_amplitude"):
+        for bad in (np.nextafter(1e6, math.inf), 1e308):
+            with pytest.raises(ConfigurationError):
+                SceneConfig(**{name: bad})
     # Counts are true integers and dials true numbers: bools are refused.
     with pytest.raises(ConfigurationError):
         SceneConfig(height=True, width=True, mwr_factor=True)
@@ -126,6 +131,14 @@ def test_config_validation():
     cfg = SceneConfig(height=np.int64(32), width=32, mwr_factor=np.int32(8), mwr_noise=0,
                       sar_ambiguity=np.float32(0.5))
     assert cfg.height == 32 and cfg.mwr_noise == 0
+
+
+def test_dials_at_their_bound_give_finite_standardized_channels():
+    for dials in ({"mwr_noise": 1e6}, {"edge_amplitude": 1e6}):
+        scene = generate(SceneConfig(height=16, width=16, mwr_factor=4, **dials))
+        for channels in (scene.sar, scene.mwr):
+            assert np.isfinite(channels).all()
+            npt.assert_allclose(channels.std(axis=(1, 2)), 1.0, rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------
