@@ -155,7 +155,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_compare(args) -> int:
     small = read_report(args.small)
     large = read_report(args.large)
-    comparison = compare_variants(small.report, large.report, k=args.top_k)
+    comparison = compare_variants(small.report, large.report)
     provenance = {
         "small_report_sha256": sha256_file(args.small),
         "large_report_sha256": sha256_file(args.large),
@@ -238,7 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--small", required=True)
     cp.add_argument("--large", required=True)
     cp.add_argument("--out", required=True)
-    cp.add_argument("--top-k", type=int, default=DEFAULT_TOP_K)
     cp.set_defaults(handler=_cmd_compare)
 
     pl = sub.add_parser("plot-data", help="export a plot-ready long table")

@@ -206,53 +206,40 @@ def _group_ranks(report: AnalysisReport) -> dict[str, int]:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """How two model variants order the same inputs and groups.
+    """How the small and large variants rank the same input groups.
 
-    Shared entries are identified by (group, offset inside the group), the
-    only identity that survives the width change between variants.
-    ``inversions`` counts pairs of shared top-``k`` entries whose relative
-    order differs between the two rankings.
+    Groups are the unit of comparison because they are the only inputs the
+    two variants share: a branch channel is one learned filter of one net
+    and names nothing in a separately built net of another width, and the
+    btemp channels carry one collinear signal, so their per-channel order
+    is not stable even between seeds of one variant.
     """
 
     group_ranks_small: dict[str, int]
     group_ranks_large: dict[str, int]
     btemp_rank_stable: bool
-    shared_top_keys: tuple[tuple[str, int], ...]
-    inversions: int
-    k: int
 
 
-def _ranked_keys(report: AnalysisReport, k: int) -> list[tuple[str, int]]:
-    first = {e.group: e.input_index for e in reversed(report.entries)}
-    entries = [report.entries[i] for i in report.ranking[:k]]
-    return [(e.group, e.input_index - first[e.group]) for e in entries]
+def compare_variants(small: AnalysisReport, large: AnalysisReport) -> ComparisonReport:
+    """Contrast the small and large variants' group ranks.
 
-
-def compare_variants(small: AnalysisReport, large: AnalysisReport,
-                     k: int = DEFAULT_TOP_K) -> ComparisonReport:
-    """Contrast the small and large variants' importance structure."""
+    Both reports must list the same groups in the same order, btemp among
+    them.
+    """
     if small.variant != "small" or large.variant != "large":
         raise UsageError(
             f"expected a small and a large report, got {small.variant!r} and {large.variant!r}"
         )
-    _check_count("k", k)
+    groups_small, groups_large = list(small.group_sums), list(large.group_sums)
+    if groups_small != groups_large or GROUP_BTEMP not in groups_small:
+        raise DataError(
+            "the reports must list the same groups in order, btemp among them; "
+            f"got {groups_small} and {groups_large}"
+        )
     ranks_small = _group_ranks(small)
     ranks_large = _group_ranks(large)
-
-    keys_small = _ranked_keys(small, k)
-    keys_large = _ranked_keys(large, k)
-    shared = [key for key in keys_small if key in keys_large]
-    pos_large = {key: keys_large.index(key) for key in shared}
-    inversions = 0
-    for a in range(len(shared)):
-        for b in range(a + 1, len(shared)):
-            if pos_large[shared[a]] > pos_large[shared[b]]:
-                inversions += 1
     return ComparisonReport(
         group_ranks_small=ranks_small,
         group_ranks_large=ranks_large,
         btemp_rank_stable=ranks_small[GROUP_BTEMP] == ranks_large[GROUP_BTEMP],
-        shared_top_keys=tuple(shared),
-        inversions=inversions,
-        k=k,
     )

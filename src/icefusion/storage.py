@@ -375,6 +375,13 @@ def _index(value) -> int:
     return value
 
 
+def _text(value) -> str:
+    """A report's variant or group name: a JSON string, never a number or null."""
+    if not isinstance(value, str):
+        raise TypeError(f"name {value!r} is not a string")
+    return value
+
+
 def _real(value) -> float:
     """A report's score field: a finite JSON number, never a bool, string or NaN."""
     if not _is_real(value):
@@ -385,7 +392,7 @@ def _real(value) -> float:
 def _entry_from_json(data: dict) -> ZScoreEntry:
     return ZScoreEntry(
         input_index=_index(data["input_index"]),
-        group=str(data["group"]),
+        group=_text(data["group"]),
         coefficient=_real(data["coefficient"]),
         sigma=_real(data["sigma"]),
         z=None if data["z"] is None else _real(data["z"]),
@@ -481,7 +488,7 @@ def read_report(path) -> ReportFile:
         raise UsageError("CSV report exports cannot be read back; use the JSON report")
     doc = _read_document(path, _REPORT_SCHEMA)
     try:
-        report = AnalysisReport(variant=str(doc["variant"]),
+        report = AnalysisReport(variant=_text(doc["variant"]),
                                 entries=tuple(_entry_from_json(e) for e in doc["entries"]))
         stored = {"ranking": tuple(map(_index, doc["ranking"])),
                   "dead_nodes": tuple(map(_index, doc["dead_nodes"])),

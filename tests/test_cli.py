@@ -432,6 +432,35 @@ def test_compare_same_variant_exits_2(pipeline, capsys, tmp_path):
     assert code == 2 and err.startswith("E_USAGE:")
 
 
+def test_compare_has_no_top_k(pipeline, capsys, tmp_path):
+    large = tmp_path / "large.json"
+    large.write_text(json.dumps(dict(json.loads(pipeline["report"].read_text()),
+                                     variant="large")))
+    code, out, err = run(capsys, "compare", "--small", str(pipeline["report"]),
+                         "--large", str(large), "--out", str(tmp_path / "c.json"),
+                         "--top-k", "6")
+    assert code == 2 and err.endswith("E_USAGE: invalid command line\n")
+    assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("small_groups, large_groups", [
+    (["scale-0"] * 3, ["scale-0"] * 3),
+    (["scale-0", "btemp"], ["scale-0", "scale-2", "btemp"]),
+])
+def test_compare_unmatched_groups_exit_3(capsys, tmp_path, small_groups, large_groups):
+    for variant, groups in (("small", small_groups), ("large", large_groups)):
+        entries = tuple(ZScoreEntry(i, group, 1.0 + i, 1.0, 1.0 + i)
+                        for i, group in enumerate(groups))
+        write_report(ReportFile(report=AnalysisReport(variant, entries), provenance={}),
+                     tmp_path / f"{variant}.json")
+    code, out, err = run(capsys, "compare", "--small", str(tmp_path / "small.json"),
+                         "--large", str(tmp_path / "large.json"), "--out",
+                         str(tmp_path / "c.json"))
+    assert code == 3 and out == "" and err.count("\n") == 1
+    assert err.startswith("E_DATA:")
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_version_flag(capsys):
     code, out, err = run(capsys, "--version")
     assert code == 0

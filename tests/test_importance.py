@@ -295,23 +295,24 @@ BASE_SUMS = {"scale-0": 5.0, "scale-2": 4.0, "scale-4": 3.0,
 def test_compare_identical_structure():
     small = variant_report("small", BASE_SUMS)
     large = variant_report("large", BASE_SUMS)
-    cmp = compare_variants(small, large, k=6)
-    assert cmp.inversions == 0
+    cmp = compare_variants(small, large)
     assert cmp.btemp_rank_stable is True
     assert cmp.group_ranks_small == cmp.group_ranks_large
     assert cmp.group_ranks_small["btemp"] == 1
-    assert len(cmp.shared_top_keys) == 6
+    assert list(cmp.group_ranks_small) == ["btemp", "scale-0", "scale-2", "scale-4",
+                                           "scale-8", "scale-16"]
 
 
 def test_compare_swapped_scale_groups():
     small = variant_report("small", BASE_SUMS)
     swapped = dict(BASE_SUMS, **{"scale-2": 3.0, "scale-4": 4.0})
     large = variant_report("large", swapped)
-    cmp = compare_variants(small, large, k=6)
-    assert cmp.inversions == 1
+    cmp = compare_variants(small, large)
     assert cmp.btemp_rank_stable is True
     assert cmp.group_ranks_small["scale-2"] == cmp.group_ranks_large["scale-4"] == 3
     assert cmp.group_ranks_small["scale-4"] == cmp.group_ranks_large["scale-2"] == 4
+    for name in ("btemp", "scale-0", "scale-8", "scale-16"):
+        assert cmp.group_ranks_small[name] == cmp.group_ranks_large[name]
 
 
 def test_compare_rejects_same_variant():
@@ -321,16 +322,25 @@ def test_compare_rejects_same_variant():
     large = variant_report("large", BASE_SUMS)
     with pytest.raises(UsageError):
         compare_variants(large, small)
-    with pytest.raises(UsageError):
-        compare_variants(small, large, k=0)
 
 
-@pytest.mark.parametrize("k", [1.5, True])
-def test_compare_refuses_non_integer_k(k):
+def test_compare_refuses_unmatched_groups():
+    def relabel(report, variant, names):
+        return AnalysisReport(variant, tuple(
+            ZScoreEntry(e.input_index, names.get(e.group, e.group), e.coefficient,
+                        e.sigma, e.z) for e in report.entries))
+
     small = variant_report("small", BASE_SUMS)
     large = variant_report("large", BASE_SUMS)
-    with pytest.raises(UsageError):
-        compare_variants(small, large, k=k)
+    no_btemp = dict.fromkeys(BASE_SUMS, "scale-0")
+    # no btemp group, a group the other report lacks, the same groups in
+    # another order
+    for a, b in ((relabel(small, "small", no_btemp), relabel(large, "large", no_btemp)),
+                 (small, relabel(large, "large", {"scale-16": "scale-32"})),
+                 (small, relabel(large, "large", {"scale-2": "scale-4",
+                                                  "scale-4": "scale-2"}))):
+        with pytest.raises(DataError):
+            compare_variants(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -521,6 +521,9 @@ def test_report_listing_grid_names_reads_back_and_writes_through_its_check(
     ("provenance", ["x"]),
     ("provenance", None),
     *(("provenance", {"btemp_provenance": grids}) for grids in MALFORMED_GRIDS),
+    # Names are JSON strings, not coerced to one.
+    ("variant", None),
+    ("group", 5),
 ])
 def test_report_indices_must_name_entries(tmp_path, field, indices):
     path = tmp_path / "report.json"
@@ -528,6 +531,10 @@ def test_report_indices_must_name_entries(tmp_path, field, indices):
     doc = json.loads(path.read_text())
     if field in ("input_index", "coefficient", "sigma", "z"):
         doc["entries"][1][field] = indices
+    elif field == "group":
+        # rekeyed in group_sums too, so that only the name's type is wrong
+        doc["group_sums"][str(indices)] = doc["group_sums"].pop(doc["entries"][1]["group"])
+        doc["entries"][1]["group"] = indices
     elif field == "group_sums":
         doc[field].update(indices)
     else:
@@ -556,12 +563,14 @@ def test_write_comparison(tmp_path):
         return AnalysisReport(variant=variant, entries=report.entries)
 
     base = hand_report()
-    comparison = compare_variants(tagged(base, "small"), tagged(base, "large"), k=6)
+    comparison = compare_variants(tagged(base, "small"), tagged(base, "large"))
     path = tmp_path / "cmp.json"
     write_comparison(comparison, path, provenance={"small": "a", "large": "b"})
     doc = json.loads(path.read_text())
+    assert set(doc) == {"schema", "format_version", "tool_version", "group_ranks_small",
+                        "group_ranks_large", "btemp_rank_stable", "provenance"}
     assert doc["schema"] == "variant-comparison"
-    assert doc["inversions"] == 0
+    assert doc["group_ranks_small"] == doc["group_ranks_large"]
     assert doc["btemp_rank_stable"] is True
     assert doc["provenance"] == {"small": "a", "large": "b"}
     assert doc["tool_version"]
