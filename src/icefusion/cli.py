@@ -8,18 +8,20 @@ contains a timestamp, so identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .errors import IceFusionError, UsageError
+from .errors import IceFusionError, UsageError, _check_range
 from .importance import DEFAULT_TOP_K, analyze, compare_variants, ranked_groups, top_k
 from .network import _MIXING_ACTIVATIONS, _UPSAMPLE_MODES, ModelConfig, build
 from .rng import SeededRng
 from .scenes import SceneConfig, generate
 from .storage import (
     ReportFile,
+    _is_csv,
     atomic_write_text,
     dump_json,
     load_checkpoint,
@@ -50,8 +52,7 @@ _SCENE_DIALS = {
 
 
 def _cmd_gen_data(args) -> int:
-    if args.scenes < 1:
-        raise UsageError(f"--scenes must be at least 1, got {args.scenes}")
+    _check_range("--scenes", args.scenes, (int, "[)", 1, math.inf), UsageError)
     base = SceneConfig(**{field: getattr(args, dest) for dest, field in _SCENE_DIALS.items()})
     out = Path(args.out)
     master = SeededRng(args.seed)
@@ -103,6 +104,7 @@ def _cmd_train(args) -> int:
         "learning_rate": args.lr,
         "batch_size": args.batch_size,
         "seed": args.seed,
+        "shuffle": train_cfg.shuffle,
         "loss_history": history,
     }
     atomic_write_text(log_path, dump_json(log))
@@ -112,10 +114,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if args.eq1 and args.n is None:
-        raise UsageError("--eq1 requires --n, the pixel count behind each estimate")
-    if args.n is not None and not args.eq1:
-        raise UsageError("--n only applies together with --eq1")
+    kind = "csv" if _is_csv(args.out) else "json"
+    if args.format not in (None, kind):  # --out's suffix decides; --format may only agree
+        raise UsageError(f"--format {args.format} contradicts --out {args.out}, a {kind} name")
+    if args.eq1 != (args.n is not None):
+        raise UsageError("--eq1 and --n, the pixel count behind each estimate, go together")
     net = load_checkpoint(args.ckpt)
     scenes, manifest = load_dataset(args.data)
     stats = collect_mixing_stats(net, scenes, btemp_source=args.btemp_stats)
@@ -141,7 +144,7 @@ def _cmd_analyze(args) -> int:
         provenance=provenance,
         top_ranking=tuple(e.input_index for e in top),
     )
-    write_report(report_file, args.out, format=args.format)
+    write_report(report_file, args.out)
     if report.dead_nodes:
         print(
             f"W_DEAD_NODES: inputs {list(report.dead_nodes)} have zero variance "
@@ -223,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     an.add_argument("--data", required=True)
     an.add_argument("--out", required=True)
     an.add_argument("--top-k", type=int, default=DEFAULT_TOP_K)
-    an.add_argument("--format", choices=["json", "csv"], default="json")
+    an.add_argument("--format", choices=["json", "csv"], default=None)
     an.add_argument("--eq1", action="store_true",
                     help="use the sample-size corrected score")
     an.add_argument("--n", type=int, default=None,

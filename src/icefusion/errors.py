@@ -5,7 +5,8 @@ status the CLI maps it to: 2 for usage problems, 3 for bad data or files,
 4 for provenance violations.
 
 ``_is_int`` and ``_is_real`` are the package's one definition of an integer
-and of a (finite) real number argument.
+and of a (finite) real number argument; ``_check_range`` checks one against
+a declared range, as every config table and count check does.
 """
 import math
 
@@ -103,3 +104,19 @@ def _is_int(value) -> bool:
 def _is_real(value) -> bool:
     """True for Python and numpy integers and finite floats, but not for bools."""
     return _is_int(value) or (isinstance(value, (float, np.floating)) and math.isfinite(value))
+
+
+def _check_range(name: str, value, spec: tuple, error: type = ConfigurationError) -> None:
+    """Refuse ``value`` unless it fits ``spec``, a ``(kind, brackets, low, high)`` range.
+
+    ``kind`` is ``int`` or ``float``, checked by ``_is_int`` or ``_is_real``;
+    ``brackets`` writes the interval's ends as in ``"[)"``, square for closed.
+    """
+    kind, brackets, low, high = spec
+    if not ((_is_int(value) if kind is int else _is_real(value))
+            and (low < value if brackets[0] == "(" else low <= value)
+            and (value < high if brackets[1] == ")" else value <= high)):
+        ends = ", ".join(f"{end:g}" if isinstance(end, float) else str(end) for end in (low, high))
+        noun = "an integer" if kind is int else "a number"
+        raise error(f"{name.replace('_', ' ')} must be {noun} in "
+                    f"{brackets[0]}{ends}{brackets[1]}, got {value!r}")

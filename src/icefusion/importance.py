@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DeadNodeError, ProvenanceError, UsageError, _is_int, _is_real
+from .errors import DataError, DeadNodeError, ProvenanceError, UsageError, _check_range
 from .network import GROUP_BTEMP, FusionNetwork
 from .training import NATIVE_GRID, MixingStats
 
@@ -47,19 +47,14 @@ __all__ = [
 DEFAULT_TOP_K = 14
 
 
-def _check_count(name: str, value) -> None:
-    if not _is_int(value) or value < 1:
-        raise UsageError(f"{name} must be an integer of at least 1, got {value!r}")
+# The range of a sample count or of k, as errors._check_range reads it.
+_COUNT = (int, "[)", 1, math.inf)
 
 
 def zscore(coefficient: float, sigma: float) -> float:
     """Coefficient scaled by its input's standard deviation: c / sigma."""
-    if not (_is_real(coefficient) and _is_real(sigma)):
-        raise DataError(
-            f"coefficient and sigma must be finite reals, got {coefficient!r} and {sigma!r}"
-        )
-    if sigma < 0.0:
-        raise DataError(f"sigma must be non-negative, got {sigma}")
+    _check_range("coefficient", coefficient, (float, "()", -math.inf, math.inf), DataError)
+    _check_range("sigma", sigma, (float, "[)", 0.0, math.inf), DataError)
     if sigma == 0.0:
         raise DeadNodeError("zero variance: the input is dead and has no z-score")
     return coefficient / sigma
@@ -71,7 +66,7 @@ def zscore_corrected(coefficient: float, sigma: float, n: int) -> float:
     Computed as sqrt(n) * zscore(c, sigma) so the scaling relation to the
     uncorrected form holds exactly, including the n = 1 degeneracy.
     """
-    _check_count("sample count", n)
+    _check_range("sample count", n, _COUNT, UsageError)
     return math.sqrt(n) * zscore(coefficient, sigma)
 
 
@@ -126,14 +121,13 @@ class AnalysisReport:
         return tuple(e.input_index for e in self.entries if e.dead)
 
 
+# A standard deviation at or below this marks a dead input.
 _DEAD_TOLERANCE = 1e-12
 
 
-def detect_dead(stats: MixingStats, tolerance: float = 0.0) -> list[int]:
-    """Indices whose standard deviation is within ``tolerance`` of zero."""
-    if not _is_real(tolerance) or tolerance < 0.0:
-        raise UsageError(f"tolerance must be a non-negative finite real, got {tolerance!r}")
-    return [int(i) for i in np.flatnonzero(stats.sigma <= tolerance)]
+def detect_dead(stats: MixingStats) -> list[int]:
+    """Indices of the dead inputs: standard deviation within ``_DEAD_TOLERANCE`` of zero."""
+    return [int(i) for i in np.flatnonzero(stats.sigma <= _DEAD_TOLERANCE)]
 
 
 def analyze(net: FusionNetwork, stats: MixingStats, *,
@@ -154,14 +148,14 @@ def analyze(net: FusionNetwork, stats: MixingStats, *,
             f"stats cover {stats.sigma.shape[0]} inputs but the model has {d_total}"
         )
     if sample_count is not None:
-        _check_count("sample count", sample_count)
+        _check_range("sample count", sample_count, _COUNT, UsageError)
     if any(p != NATIVE_GRID for p in stats.btemp_provenance):
         raise ProvenanceError(
             "btemp statistics must be pooled on the native coarse grid before "
             "upsampling; upsampled-grid spreads are biased low and inflate z-scores"
         )
 
-    dead = set(detect_dead(stats, _DEAD_TOLERANCE))
+    dead = set(detect_dead(stats))
     coeffs = net.mixing_coefficients
     entries = []
     for group in cfg.groups:
@@ -184,7 +178,7 @@ def top_k(report: AnalysisReport, k: int = DEFAULT_TOP_K) -> list[ZScoreEntry]:
     Asking for more entries than are alive returns all live entries and
     issues a warning.
     """
-    _check_count("k", k)
+    _check_range("k", k, _COUNT, UsageError)
     ranking = report.ranking
     if k > len(ranking):
         warnings.warn(

@@ -32,9 +32,11 @@ bits either way.
 """
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import functools
 import glob
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -43,7 +45,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import ops
-from .errors import ConfigurationError, DimensionError, UsageError, _is_int, _is_real
+from .errors import ConfigurationError, DimensionError, UsageError, _check_range, _is_int
 from .rng import SeededRng
 
 __all__ = [
@@ -92,6 +94,10 @@ _PUBLISHED_WIDTH = 14
 # The values ModelConfig accepts; the command line offers them in this order.
 _MIXING_ACTIVATIONS = ("linear", "relu")
 _UPSAMPLE_MODES = ("bilinear", "nearest")
+# Each numeric ModelConfig field's range, as errors._check_range reads it.
+_RANGES = {"dropout_rate": (float, "[)", 0.0, 1.0),
+           **dict.fromkeys(("scale0_width", "branch_width", "mwr_channels", "mwr_factor"),
+                           (int, "[)", 1, math.inf))}
 
 
 def scale_group_name(dilation: int) -> str:
@@ -150,37 +156,25 @@ class ModelConfig:
             raise ConfigurationError(
                 f"dilation rates must be strictly increasing and at least 2, got {rates}"
             )
-        if not (_is_real(self.dropout_rate) and 0.0 <= self.dropout_rate < 1.0):
-            raise ConfigurationError(
-                f"dropout rate must lie in [0, 1), got {self.dropout_rate}"
-            )
-        if self.mixing_activation not in _MIXING_ACTIVATIONS:
-            raise ConfigurationError(
-                f"mixing activation must be 'linear' or 'relu', got {self.mixing_activation!r}"
-            )
-        if self.upsample_mode not in _UPSAMPLE_MODES:
-            raise ConfigurationError(
-                f"upsample mode must be 'nearest' or 'bilinear', got {self.upsample_mode!r}"
-            )
-        counts = (self.scale0_width, self.branch_width, self.mwr_channels, self.mwr_factor)
-        if not all(_is_int(n) and n >= 1 for n in counts):
-            raise ConfigurationError(
-                "the scale-0 and branch widths, mwr channel count and grid factor must be "
-                f"positive integers, got {counts!r}"
-            )
+        for name, allowed in (("mixing_activation", _MIXING_ACTIVATIONS),
+                              ("upsample_mode", _UPSAMPLE_MODES)):
+            if getattr(self, name) not in allowed:
+                raise ConfigurationError(f"{name.replace('_', ' ')} must be one of {allowed}, "
+                                         f"got {getattr(self, name)!r}")
+        # Plain Python numbers, as for the rates: numpy scalars would reach the
+        # checkpoint header, which JSON cannot encode.
+        for name, spec in _RANGES.items():
+            _check_range(name, getattr(self, name), spec)
+            object.__setattr__(self, name, spec[0](getattr(self, name)))
         if self.variant in _BRANCH_WIDTH:
             published = (_PUBLISHED_WIDTH, _BRANCH_WIDTH[self.variant], _PUBLISHED_WIDTH)
-            if counts[:3] != published:
+            counts = (self.scale0_width, self.branch_width, self.mwr_channels)
+            if counts != published:
                 raise ConfigurationError(
                     f"the {self.variant} variant reads {published[2]} mwr channels with "
                     f"scale-0 width {published[0]} and branch width {published[1]}, got "
                     f"{counts[2]} mwr channels with widths {counts[0]} and {counts[1]}"
                 )
-        # Plain Python numbers, as for the rates: numpy scalars would reach the
-        # checkpoint header, which JSON cannot encode.
-        for name in ("scale0_width", "branch_width", "mwr_channels", "mwr_factor"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        object.__setattr__(self, "dropout_rate", float(self.dropout_rate))
 
     @classmethod
     def for_variant(cls, variant: str, **overrides) -> "ModelConfig":
@@ -442,13 +436,14 @@ def _branch_pool(branches: int, pixels: int) -> ThreadPoolExecutor | None:
 def _each_branch(fn, items: list[tuple], pixels: int) -> list:
     """``[fn(*item) for item in items]``, one item per branch, on the pool when it pays.
 
-    Every branch finishes before the results, or the first branch's error in
-    branch order, come back.
+    Each pool task runs in a copy of the caller's context, so it keeps the
+    caller's ``np.errstate``.  Every branch finishes before the results, or
+    the first branch's error in branch order, come back.
     """
     pool = _branch_pool(len(items), pixels)
     if pool is None:
         return [fn(*item) for item in items]
-    futures = [pool.submit(fn, *item) for item in items]
+    futures = [pool.submit(contextvars.copy_context().run, fn, *item) for item in items]
     wait(futures)
     return [future.result() for future in futures]
 

@@ -48,6 +48,7 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
+    DataError,
     DegenerateStatisticsError,
     DimensionError,
     UsageError,
@@ -472,7 +473,8 @@ def batch_norm(x, state: NormState, mode: str = "train"):
     population variance over its H x W pixels and folds them into the
     running statistics (EMA, momentum 0.9); eval mode normalizes with the
     stored running statistics.  Returns ``(output, cache)`` where the cache
-    backs :func:`batch_norm_backward` and is None in eval mode.
+    backs :func:`batch_norm_backward` and is None in eval mode.  A non-finite
+    train-mode batch variance raises :class:`DataError` before they move.
     """
     x = _as_float64(x, "input", 3)
     if x.shape[0] != state.channels:
@@ -491,6 +493,8 @@ def batch_norm(x, state: NormState, mode: str = "train"):
         xhat = x - mean[:, None, None]
         out = xhat * xhat
         var = out.sum(axis=(1, 2)) / count
+        if not np.isfinite(var).all():  # inf or NaN in x, or squares past overflow
+            raise DataError("train-mode normalization met a non-finite batch variance")
         inv_std = 1.0 / np.sqrt(var + _NORM_EPSILON)
         xhat *= inv_std[:, None, None]
         m = _NORM_MOMENTUM
@@ -503,13 +507,11 @@ def batch_norm(x, state: NormState, mode: str = "train"):
     inv_std = 1.0 / np.sqrt(state.running_var + _NORM_EPSILON)
     out = x - state.running_mean[:, None, None]
     out *= inv_std[:, None, None]
-    out *= state.gamma[:, None, None]
-    out += state.beta[:, None, None]
-    return out, None
+    return _scale_shift(out, state, out=out), None
 
 
 def _scale_shift(xhat: np.ndarray, state: NormState, out: np.ndarray | None = None) -> np.ndarray:
-    """``gamma * xhat + beta`` per channel: train-mode :func:`batch_norm`'s output.
+    """``gamma * xhat + beta`` per channel: :func:`batch_norm`'s output in either mode.
 
     A caller holding a train-mode cache's ``xhat`` and unchanged ``gamma`` and
     ``beta`` rebuilds that output byte for byte.

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, _is_int, _is_real
-from .rng import SeededRng
+from .errors import ConfigurationError, DimensionError, _check_range, _is_int
+from .rng import _MAX_SEED, SeededRng
 
 __all__ = ["SceneConfig", "Scene", "generate", "ice_fraction_coarse"]
 
@@ -34,15 +34,25 @@ _STREAM_SAR = 2
 _SAR_CONTRAST = (2.0, 1.2)
 _SAR_EDGE_WEIGHT = (1.0, 0.8)
 
-# Largest blob_scale a config accepts, far past any grid's correlation length.
-# The Gaussian kernel is 8 * blob_scale + 1 taps wide, so without a bound a
-# huge scale fails inside the filter instead of at the config.
-_MAX_BLOB_SCALE = 1e4
-
-# Largest mwr_noise and edge_amplitude a config accepts, where the class signal
-# is a millionth of the term the dial scales.  From about 1e154 an mwr channel's
-# variance overflows to inf (all zeros out), and near 1e308 it comes out NaN.
-_MAX_AMPLITUDE = 1e6
+# Each numeric field's range, as errors._check_range reads it.  The bounds
+# stop a value before numpy or scipy fail on it, far past what the pipeline
+# runs: 128x128 grids of 14 channels (a 2048x2048 float64 channel is 32 MiB);
+# a blob_scale past any grid's correlation length (the Gaussian kernel is
+# 8 * blob_scale + 1 taps wide); an mwr_noise or edge_amplitude at which the
+# class signal is a millionth of the term it scales (from about 1e154 an mwr
+# channel's variance overflows to inf, and near 1e308 it comes out NaN).
+_RANGES = {
+    "height": (int, "[]", 1, 2048),
+    "width": (int, "[]", 1, 2048),
+    "mwr_factor": (int, "[]", 1, 2048),
+    "mwr_channels": (int, "[]", 1, 256),
+    "sar_ambiguity": (float, "[]", 0.0, 1.0),
+    "mwr_noise": (float, "[]", 0.0, 1e6),
+    "mwr_informative_fraction": (float, "(]", 0.0, 1.0),
+    "blob_scale": (float, "(]", 0.0, 1e4),
+    "edge_amplitude": (float, "[]", 0.0, 1e6),
+    "seed": (int, "[)", 0, _MAX_SEED),
+}
 
 
 @dataclass(frozen=True)
@@ -59,44 +69,11 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("height", "width", "mwr_factor", "mwr_channels", "seed"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-        for name in ("sar_ambiguity", "mwr_noise", "mwr_informative_fraction", "blob_scale",
-                     "edge_amplitude"):
-            value = getattr(self, name)
-            if not _is_real(value):
-                raise ConfigurationError(f"{name} must be a number, got {value!r}")
-        if self.height < 1 or self.width < 1:
-            raise ConfigurationError("the grid must have positive size")
-        if self.mwr_factor < 1:
-            raise ConfigurationError(f"mwr factor must be positive, got {self.mwr_factor}")
+        for name, spec in _RANGES.items():
+            _check_range(name, getattr(self, name), spec)
         if self.height % self.mwr_factor or self.width % self.mwr_factor:
             raise ConfigurationError(
                 f"grid {self.height}x{self.width} is not divisible by factor {self.mwr_factor}"
-            )
-        if self.mwr_channels < 1:
-            raise ConfigurationError("at least one mwr channel is required")
-        if not 0.0 <= self.sar_ambiguity <= 1.0:
-            raise ConfigurationError(
-                f"sar ambiguity must lie in [0, 1], got {self.sar_ambiguity}"
-            )
-        if not 0.0 <= self.mwr_noise <= _MAX_AMPLITUDE:
-            raise ConfigurationError(
-                f"mwr noise must lie in [0, {_MAX_AMPLITUDE:g}], got {self.mwr_noise}"
-            )
-        if not 0.0 < self.mwr_informative_fraction <= 1.0:
-            raise ConfigurationError(
-                f"informative fraction must lie in (0, 1], got {self.mwr_informative_fraction}"
-            )
-        if not 0.0 < self.blob_scale <= _MAX_BLOB_SCALE:
-            raise ConfigurationError(
-                f"blob scale must lie in (0, {_MAX_BLOB_SCALE:g}], got {self.blob_scale}"
-            )
-        if not 0.0 <= self.edge_amplitude <= _MAX_AMPLITUDE:
-            raise ConfigurationError(
-                f"edge amplitude must lie in [0, {_MAX_AMPLITUDE:g}], got {self.edge_amplitude}"
             )
 
 

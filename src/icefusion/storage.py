@@ -429,9 +429,14 @@ def _groups_csv(report: AnalysisReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_csv(path) -> bool:
+    """Whether ``path`` names a report's CSV export (``.csv``) rather than its JSON."""
+    return Path(path).suffix == ".csv"
+
+
 def groups_csv_path(path) -> Path:
     path = Path(path)
-    if path.suffix == ".csv":
+    if _is_csv(path):
         return path.with_suffix(".groups.csv")
     return path.with_name(path.name + ".groups.csv")
 
@@ -450,8 +455,8 @@ def _btemp_grids(provenance, what: str) -> list:
     return grids
 
 
-def write_report(report_file: ReportFile, path, format: str = "json") -> None:
-    """Serialize a report; ``json`` is canonical, ``csv`` an export.
+def write_report(report_file: ReportFile, path) -> None:
+    """Serialize a report: as canonical JSON, or as a CSV export when ``path`` ends in ``.csv``.
 
     The CSV export writes the per-input table to ``path`` and the group-sum
     table next to it (``<path>.groups.csv``).
@@ -463,7 +468,10 @@ def write_report(report_file: ReportFile, path, format: str = "json") -> None:
             "the upsampled grid"
         )
     report = report_file.report
-    if format == "json":
+    if _is_csv(path):
+        atomic_write_text(path, _entries_csv(report))
+        atomic_write_text(groups_csv_path(path), _groups_csv(report))
+    else:
         doc = {
             **_envelope(_REPORT_SCHEMA, report_file.tool_version),
             **asdict(report),
@@ -474,17 +482,12 @@ def write_report(report_file: ReportFile, path, format: str = "json") -> None:
             "top_ranking": report_file.top_ranking,
         }
         atomic_write_text(path, dump_json(doc))
-    elif format == "csv":
-        atomic_write_text(path, _entries_csv(report))
-        atomic_write_text(groups_csv_path(path), _groups_csv(report))
-    else:
-        raise UsageError(f"unknown report format {format!r}")
 
 
 def read_report(path) -> ReportFile:
     """Read back a JSON report, checked against its entries.  CSV exports cannot be."""
     path = Path(path)
-    if path.suffix == ".csv":
+    if _is_csv(path):
         raise UsageError("CSV report exports cannot be read back; use the JSON report")
     doc = _read_document(path, _REPORT_SCHEMA)
     try:

@@ -6,18 +6,19 @@ the training seed and the dataset order.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, DimensionError, UsageError, _is_int, _is_real
+from .errors import ConfigurationError, DataError, DimensionError, UsageError, _check_range
 from .network import (
     FusionNetwork,
     backward,
     forward,
     named_parameters,
 )
-from .rng import SeededRng
+from .rng import _MAX_SEED, SeededRng
 
 __all__ = [
     "TrainConfig",
@@ -38,6 +39,15 @@ _STREAM_SHUFFLE = 4
 _STREAM_STEP = 5
 
 
+# Each numeric TrainConfig field's range, as errors._check_range reads it.
+_RANGES = {
+    "learning_rate": (float, "()", 0.0, math.inf),
+    "epochs": (int, "[)", 0, math.inf),
+    "batch_size": (int, "[)", 1, math.inf),
+    "seed": (int, "[)", 0, _MAX_SEED),
+}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float
@@ -47,19 +57,8 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
-        if not (_is_real(self.learning_rate) and self.learning_rate > 0.0):
-            raise ConfigurationError(
-                f"learning rate must be positive and finite, got {self.learning_rate}"
-            )
-        if not _is_int(self.epochs) or self.epochs < 0:
-            raise ConfigurationError(
-                f"epochs must be a non-negative integer, got {self.epochs!r}"
-            )
-        if not _is_int(self.batch_size) or self.batch_size < 1:
-            raise ConfigurationError(
-                f"batch size must be an integer of at least 1, got {self.batch_size!r}"
-            )
-        SeededRng(self.seed)  # refuses any seed that names no stream
+        for name, spec in _RANGES.items():
+            _check_range(name, getattr(self, name), spec)
         if not isinstance(self.shuffle, (bool, np.bool_)):
             raise ConfigurationError(f"shuffle must be a bool, got {self.shuffle!r}")
 
@@ -84,22 +83,23 @@ def bce_loss(prob, label) -> tuple[float, np.ndarray]:
     return loss, (prob - label) / prob.size
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite update is refused by name
 def sgd_step(net: FusionNetwork, grads: dict[str, np.ndarray], learning_rate: float) -> FusionNetwork:
     """One in-place gradient descent update: p <- p - lr * g.
 
     A zero learning rate is allowed and leaves every parameter unchanged.
     Normalization running statistics are untouched; they only move inside
-    train-mode forward passes.  Returns the same network for chaining.
+    train-mode forward passes.  A step that would make a parameter non-finite
+    raises :class:`DataError` and changes none.  Returns the same network
+    for chaining.
     """
-    if not (_is_real(learning_rate) and learning_rate >= 0.0):
-        raise ConfigurationError(
-            f"learning rate must be non-negative and finite, got {learning_rate}"
-        )
+    _check_range("learning rate", learning_rate, (float, "[)", 0.0, math.inf))
     params = named_parameters(net)
     names = {name for name, _ in params}
     unknown = set(grads) - names
     if unknown:
         raise UsageError(f"gradients name unknown parameters: {sorted(unknown)}")
+    updated = []
     for name, value in params:
         g = grads.get(name)
         if g is None:
@@ -109,7 +109,11 @@ def sgd_step(net: FusionNetwork, grads: dict[str, np.ndarray], learning_rate: fl
             raise UsageError(
                 f"gradient for {name!r} has shape {g.shape}, expected {value.shape}"
             )
-        value -= learning_rate * g
+        updated.append((value, value - learning_rate * g))
+        if not np.isfinite(updated[-1][1]).all():
+            raise DataError(f"the step would make {name!r} non-finite")
+    for value, new in updated:
+        value[...] = new
     net.version += 1
     return net
 
@@ -123,6 +127,8 @@ def _check_scenes(net: FusionNetwork, scenes) -> None:
             raise DimensionError("all scenes must share one grid geometry")
 
 
+# Branch tasks run in a copy of the caller's context, so they keep this errstate.
+@np.errstate(over="ignore", invalid="ignore")
 def train(net: FusionNetwork, scenes, cfg: TrainConfig) -> tuple[FusionNetwork, list[float]]:
     """Optimize the network in place over the scene list.
 
@@ -130,8 +136,9 @@ def train(net: FusionNetwork, scenes, cfg: TrainConfig) -> tuple[FusionNetwork, 
     gradients are averaged over that many consecutive scenes before each
     update.  Returns the network and the mean per-scene loss of every epoch.
 
-    A non-finite gradient raises :class:`DataError` naming the epoch, scene
-    and parameter, before the step it belongs to touches any parameter.
+    Where values stop being finite (a batch variance, the output, a gradient
+    or an update), :class:`DataError` names the epoch and scene, unwarned by
+    numpy, before any inf or NaN reaches a parameter or running statistic.
     """
     _check_scenes(net, scenes)
     root = SeededRng(cfg.seed)
@@ -147,24 +154,25 @@ def train(net: FusionNetwork, scenes, cfg: TrainConfig) -> tuple[FusionNetwork, 
         for pos, scene_index in enumerate(order):
             scene = scenes[int(scene_index)]
             step_rng = root.derive(_STREAM_STEP, epoch, pos)
-            fp = forward(net, scene.sar, scene.mwr, mode="train", rng=step_rng,
-                         keep_cache=True)
-            loss, grad_logit = bce_loss(fp.prob, scene.label)
+            try:
+                fp = forward(net, scene.sar, scene.mwr, mode="train", rng=step_rng,
+                             keep_cache=True)
+                if np.isnan(fp.prob).any():  # the sigmoid clamps all else inside (0, 1)
+                    raise DataError("the network's output is not finite")
+                loss, grad_logit = bce_loss(fp.prob, scene.label)
+                grads = backward(net, fp.cache, grad_logit)
+                for name, g in grads.items():
+                    if not np.isfinite(g).all():
+                        raise DataError(f"non-finite gradient for {name!r}")
+                pending = {k: pending[k] + g for k, g in grads.items()} if pending else grads
+                pending_count += 1
+                if pending_count == cfg.batch_size or pos == len(order) - 1:
+                    mean_grads = {k: v / pending_count for k, v in pending.items()}
+                    sgd_step(net, mean_grads, cfg.learning_rate)
+                    pending, pending_count = {}, 0
+            except DataError as err:
+                raise type(err)(f"{err} in epoch {epoch}, scene {int(scene_index)}") from None
             losses.append(loss)
-            grads = backward(net, fp.cache, grad_logit)
-            for name, g in grads.items():
-                if not np.isfinite(g).all():
-                    raise DataError(
-                        f"non-finite gradient for {name!r} in epoch {epoch}, "
-                        f"scene {int(scene_index)}"
-                    )
-            pending = {k: pending[k] + g for k, g in grads.items()} if pending else grads
-            pending_count += 1
-            if pending_count == cfg.batch_size or pos == len(order) - 1:
-                mean_grads = {k: v / pending_count for k, v in pending.items()}
-                sgd_step(net, mean_grads, cfg.learning_rate)
-                pending = {}
-                pending_count = 0
         history.append(float(np.mean(losses)))
     return net, history
 

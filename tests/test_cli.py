@@ -1,12 +1,17 @@
 """Command line surface: pipeline wiring, exit codes, warnings, file outputs."""
+import argparse
 import json
+import os
+import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from icefusion.cli import main
+from icefusion.cli import _build_parser, main
 from icefusion.importance import AnalysisReport, ZScoreEntry, compare_variants
 from icefusion.network import ModelConfig, build
 from icefusion.rng import SeededRng
@@ -64,6 +69,14 @@ def test_train_writes_checkpoint_and_log(pipeline):
     assert log["schema"] == "training-log"
     assert len(log["loss_history"]) == 2
     assert log["dataset_id"] == read_manifest(pipeline["data"])["dataset_id"]
+    assert log["shuffle"] is True
+
+
+def test_train_log_records_no_shuffle(pipeline, capsys, tmp_path):
+    code, _, _ = run(capsys, "train", "--data", str(pipeline["data"]), "--variant", "small",
+                     "--out", str(tmp_path / "m.ckpt"), "--epochs", "1", "--no-shuffle")
+    assert code == 0
+    assert json.loads((tmp_path / "m.ckpt.log.json").read_text())["shuffle"] is False
 
 
 def test_analyze_report_contents(pipeline):
@@ -110,6 +123,27 @@ def test_analyze_csv_export(pipeline, capsys, tmp_path):
     group_lines = groups_csv_path(out).read_text().splitlines()
     assert group_lines[0] == "group,sum_abs_z,rank"
     assert len(group_lines) == 7
+
+
+def test_analyze_writes_the_kind_its_out_names(pipeline, capsys, tmp_path):
+    # Without --format a .csv name gets the CSV export, which read_report
+    # refuses by the same suffix rule, and any other name gets JSON.
+    for name, first in (("r.csv", "input_index,group,"), ("r.txt", "{")):
+        code, _, _ = run(capsys, "analyze", "--ckpt", str(pipeline["ckpt"]), "--data",
+                         str(pipeline["data"]), "--out", str(tmp_path / name))
+        assert code == 0
+        assert (tmp_path / name).read_text().startswith(first)
+    assert read_report(tmp_path / "r.txt").report == read_report(pipeline["report"]).report
+
+
+@pytest.mark.parametrize("fmt, name", [("csv", "r.json"), ("json", "r.csv"), ("csv", "r")])
+def test_analyze_format_contradicting_out_exits_2_before_reading(capsys, tmp_path, fmt, name):
+    code, out, err = run(capsys, "analyze", "--ckpt", str(tmp_path / "no.ckpt"), "--data",
+                         str(tmp_path / "nowhere"), "--out", str(tmp_path / name),
+                         "--format", fmt)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith(f"E_USAGE: --format {fmt} contradicts --out")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_analyze_top_k_overflow_warns(pipeline, capsys, tmp_path):
@@ -231,6 +265,35 @@ def test_gen_data_refuses_a_dial_past_its_bound(capsys, tmp_path, flag):
     assert code == 2 and out == "" and err.count("\n") == 1
     assert err.startswith("E_CONFIG:") and "[0, 1e+06]" in err
     assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("extra", [["--height", "1000000", "--width", "1000000"],
+                                   ["--mwr-channels", "100000000"]])
+def test_gen_data_refuses_a_huge_grid_or_channel_count(capsys, tmp_path, extra):
+    # Refused at the config, before numpy is asked for the arrays.
+    code, out, err = run(capsys, "gen-data", "--out", str(tmp_path / "d"), "--scenes", "1",
+                         *extra)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("E_CONFIG:") and "must be an integer in [1, " in err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("lr", ["1e6", "1e308"])
+def test_divergent_training_exits_3_with_one_line(tmp_path, lr):
+    # A child process, so that any RuntimeWarning numpy prints reaches stderr.
+    data, ckpt = tmp_path / "data", tmp_path / "m.ckpt"
+    assert main(["gen-data", "--out", str(data), "--scenes", "2", "--height", "16",
+                 "--width", "16", "--mwr-factor", "4"]) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "icefusion", "train", "--data", str(data),
+                           "--variant", "small", "--out", str(ckpt), "--epochs", "8",
+                           "--lr", lr], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3 and done.stdout == "", done.stderr
+    assert done.stderr.count("\n") == 1, done.stderr
+    assert re.fullmatch(r"E_DATA: .* in epoch [0-7], scene [01]\n", done.stderr)
+    assert not ckpt.exists()
 
 
 def test_train_refuses_a_dataset_the_variant_cannot_read(capsys, tmp_path):
@@ -389,8 +452,7 @@ def test_tied_groups_rank_in_group_order(capsys, tmp_path):
     for ranks in (comparison.group_ranks_small, comparison.group_ranks_large):
         assert sorted(ranks, key=ranks.get) == expected
 
-    write_report(ReportFile(report=tied("small"), provenance={}), tmp_path / "tied.csv",
-                 format="csv")
+    write_report(ReportFile(report=tied("small"), provenance={}), tmp_path / "tied.csv")
     rows = groups_csv_path(tmp_path / "tied.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == expected
     assert [row.split(",")[2] for row in rows] == ["1", "2", "3", "4", "5", "6"]
@@ -465,3 +527,17 @@ def test_version_flag(capsys):
     code, out, err = run(capsys, "--version")
     assert code == 0
     assert err == ""
+
+
+def test_readme_documents_every_flag():
+    # Both ways: every flag the parser takes is named in README's command-line
+    # section, and every flag named there exists.
+    parsers = [_build_parser()]
+    for action in parsers[0]._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            parsers += action.choices.values()
+    flags = {flag for parser in parsers for action in parser._actions
+             for flag in action.option_strings if flag.startswith("--")} - {"--help"}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section)) == flags

@@ -235,13 +235,17 @@ def test_top_k_truncates_past_live_entries_with_warning():
 
 def test_detect_dead_thresholding():
     stats = unit_stats(6, 1, sigma=[1.0, 0.0, 0.5, 1e-13, 2.0, 1.0])
-    assert detect_dead(stats) == [1]
-    assert detect_dead(stats, tolerance=1e-12) == [1, 3]
+    assert detect_dead(stats) == [1, 3]
+    assert detect_dead(unit_stats(6, 1, sigma=[1.0, 1e-12, 2e-12, 1.0, 1.0, 1.0])) == [1]
     assert detect_dead(unit_stats(6, 1)) == []
-    # A NaN tolerance would flag nothing and True would act as 1.0.
-    for bad in (-1e-9, math.nan, math.inf, True):
-        with pytest.raises(UsageError):
-            detect_dead(stats, tolerance=bad)
+
+
+def test_detect_dead_agrees_with_the_report():
+    # One threshold: an input detect_dead flags is exactly one the report leaves unscored.
+    net = one_per_group_net([3.0, -2.0, 1.0, 0.5, -0.25, 4.0])
+    stats = unit_stats(6, 1, sigma=[1.0, 0.0, 0.5, 1e-13, 2.0, 1e-12])
+    report = analyze(net, stats)
+    assert detect_dead(stats) == list(report.dead_nodes) == [1, 3, 5]
 
 
 def test_relu_mixing_dead_channel_is_flagged_and_excluded():
@@ -263,7 +267,7 @@ def test_relu_mixing_dead_channel_is_flagged_and_excluded():
         for _ in range(3)
     ]
     stats = collect_mixing_stats(net, scenes)
-    assert detect_dead(stats, tolerance=1e-12) == [5]
+    assert detect_dead(stats) == [5]
 
     report = analyze(net, stats)
     assert report.dead_nodes == (5,)

@@ -26,6 +26,7 @@ RUNTIME_PACKAGES = set(sys.stdlib_module_names) | {"numpy", SRC.name}
 SCIPY_MODULES = {"scenes"}
 # Every private name one package module uses from another, as module.name.
 PRIVATE_ALLOWLIST = {
+    "errors._check_range",
     "errors._is_int",
     "errors._is_real",
     "network._MIXING_ACTIVATIONS",
@@ -33,6 +34,8 @@ PRIVATE_ALLOWLIST = {
     "network._value_count",
     "ops._apply_keep",
     "ops._scale_shift",
+    "rng._MAX_SEED",
+    "storage._is_csv",
 }
 
 

@@ -497,6 +497,15 @@ def assert_steps_equal(serial_step, pooled_step):
         npt.assert_array_equal(a, b, err_msg=name)
 
 
+def test_pool_tasks_keep_the_callers_errstate():
+    # A pool thread's own errstate is numpy's default; each task runs in a
+    # copy of the caller's context instead.
+    with np.errstate(over="ignore", invalid="raise"):
+        got = network_mod._each_branch(lambda b: (b, np.geterr()["over"], np.geterr()["invalid"]),
+                                        [(0,), (1,), (2,)], 64 * 64)
+    assert got == [(0, "ignore", "raise"), (1, "ignore", "raise"), (2, "ignore", "raise")]
+
+
 @pytest.mark.parametrize("config", [
     ModelConfig.for_variant("small", mwr_factor=8),
     ModelConfig.for_variant("large", mwr_factor=8),

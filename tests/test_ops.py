@@ -9,6 +9,7 @@ import pytest
 from icefusion import ops
 from icefusion.errors import (
     ConfigurationError,
+    DataError,
     DegenerateStatisticsError,
     DimensionError,
     UsageError,
@@ -632,6 +633,19 @@ def test_batch_norm_running_statistics_update():
     batch_norm(x, state, mode="train")
     npt.assert_allclose(state.running_mean, [0.9 * 0.0 + 0.1 * 4.0], rtol=1e-12)
     npt.assert_allclose(state.running_var, [0.9 * 1.0 + 0.1 * 5.0], rtol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e200])
+def test_batch_norm_refuses_a_non_finite_batch_before_its_statistics_move(bad):
+    # 1e200 is finite, but its squared deviation overflows the variance.
+    x = np.ones((2, 3, 3))
+    x[1, 1, 1] = bad
+    state = NormState.initial(2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DataError, match="non-finite batch variance"):
+            batch_norm(x, state, mode="train")
+    npt.assert_array_equal(state.running_mean, np.zeros(2))
+    npt.assert_array_equal(state.running_var, np.ones(2))
 
 
 def test_batch_norm_eval_uses_running_statistics():

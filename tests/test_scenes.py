@@ -133,6 +133,19 @@ def test_config_validation():
     assert cfg.height == 32 and cfg.mwr_noise == 0
 
 
+def test_grid_channel_count_and_seed_bounds():
+    # Checked at the config, so nothing is allocated: a million-pixel side or
+    # a hundred million channels once ended in numpy's allocator.
+    largest = SceneConfig(height=2048, width=2048, mwr_factor=2048, mwr_channels=256,
+                          seed=2**64 - 1)
+    assert (largest.height, largest.mwr_channels) == (2048, 256)
+    for bad in ({"height": 10**6, "width": 10**6}, {"height": 2064}, {"width": 2064},
+                {"mwr_factor": 4096, "height": 4096, "width": 4096}, {"mwr_channels": 257},
+                {"mwr_channels": 10**8}, {"seed": 2**64}, {"seed": -1}):
+        with pytest.raises(ConfigurationError, match=r"must be an integer in \[\d+, \d+[\])]"):
+            SceneConfig(**bad)
+
+
 def test_dials_at_their_bound_give_finite_standardized_channels():
     for dials in ({"mwr_noise": 1e6}, {"edge_amplitude": 1e6}):
         scene = generate(SceneConfig(height=16, width=16, mwr_factor=4, **dials))

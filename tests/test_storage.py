@@ -375,8 +375,7 @@ def test_report_json_round_trip(tmp_path):
 def test_report_csv_export(tmp_path):
     report = hand_report()
     path = tmp_path / "report.csv"
-    write_report(ReportFile(report=report, provenance=native_provenance()), path,
-                 format="csv")
+    write_report(ReportFile(report=report, provenance=native_provenance()), path)
     lines = path.read_text().splitlines()
     assert lines[0] == "input_index,group,coefficient,sigma,z,abs_z,rank,dead"
     assert len(lines) == 7
@@ -402,8 +401,7 @@ def test_report_csv_export(tmp_path):
 def test_report_csv_dead_row_is_empty(tmp_path):
     report = hand_report(dead_index=2)
     path = tmp_path / "report.csv"
-    write_report(ReportFile(report=report, provenance=native_provenance()), path,
-                 format="csv")
+    write_report(ReportFile(report=report, provenance=native_provenance()), path)
     lines = path.read_text().splitlines()
     dead_cells = lines[3].split(",")
     assert dead_cells[4] == dead_cells[5] == dead_cells[6] == ""
@@ -416,11 +414,24 @@ def test_report_csv_dead_row_is_empty(tmp_path):
     assert float(by_name["scale-4"][1]) == 0.0
 
 
+@pytest.mark.parametrize("name, kind", [("r.json", "json"), ("r.csv", "csv"),
+                                        ("r.txt", "json"), ("r.csv.json", "json")])
+def test_write_report_picks_its_kind_by_the_rule_read_report_uses(tmp_path, name, kind):
+    path = tmp_path / name
+    write_report(ReportFile(report=hand_report(), provenance={}), path)
+    if kind == "csv":
+        assert path.read_text().startswith("input_index,group,")
+        assert groups_csv_path(path).exists()
+        with pytest.raises(UsageError):
+            read_report(path)
+    else:
+        assert read_report(path).report == hand_report()
+        assert not groups_csv_path(path).exists()
+
+
 def test_report_formats_and_refusals(tmp_path):
     report = hand_report()
     path = tmp_path / "report.json"
-    with pytest.raises(UsageError):
-        write_report(ReportFile(report=report, provenance={}), path, format="xml")
     upsampled = {"btemp_provenance": ["upsampled-grid"]}
     with pytest.raises(ProvenanceError):
         write_report(ReportFile(report=report, provenance=upsampled), path)
@@ -456,7 +467,7 @@ def test_write_report_refuses_malformed_grid_lists(tmp_path, format, grids):
     path = tmp_path / f"report.{format}"
     report_file = ReportFile(report=hand_report(), provenance={"btemp_provenance": grids})
     with pytest.raises(FormatError, match="btemp_provenance"):
-        write_report(report_file, path, format=format)
+        write_report(report_file, path)
     assert list(tmp_path.iterdir()) == []
 
 

@@ -9,7 +9,14 @@ import pytest
 from icefusion import ops, training
 from icefusion.errors import ConfigurationError, DataError, DimensionError, UsageError
 from icefusion.importance import analyze
-from icefusion.network import ModelConfig, backward, build, forward, named_parameters
+from icefusion.network import (
+    ModelConfig,
+    backward,
+    build,
+    forward,
+    named_parameters,
+    named_state,
+)
 from icefusion.rng import SeededRng
 from icefusion.scenes import Scene, SceneConfig, generate
 from icefusion.training import (
@@ -144,6 +151,23 @@ def test_sgd_rejects_bad_input():
         sgd_step(net, wrong, 0.1)
 
 
+def test_sgd_step_refuses_a_step_past_overflow():
+    # Every update is formed before any is applied, so a refused step leaves
+    # every parameter as it was, the first one included.
+    net = tiny_net()
+    before = {name: p.copy() for name, p in named_parameters(net)}
+    grads = zero_grads(net)
+    grads["mixing.bias"] = np.array(1e10)
+    grads["stem.0.kernels"] += 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="the step would make 'mixing.bias' non-finite"):
+            sgd_step(net, grads, 1e300)
+    for name, p in named_parameters(net):
+        npt.assert_array_equal(p, before[name], err_msg=name)
+    assert net.version == 0
+
+
 def test_sgd_step_decreases_convex_single_pixel_loss():
     # With every non-mixing gradient pinned to zero the step moves only the
     # final logistic layer, whose loss in (coefficients, bias) is convex.
@@ -263,6 +287,21 @@ def test_train_stops_on_a_non_finite_gradient(monkeypatch):
         train(net, scenes, cfg)
     for name, p in named_parameters(net):
         npt.assert_array_equal(p, before[name], err_msg=name)
+
+
+@pytest.mark.parametrize("hw", [16, 32])  # 32x32 runs the branches on the pool
+@pytest.mark.parametrize("lr", [1e6, 1e308])
+def test_divergent_training_stops_where_values_stop_being_finite(hw, lr):
+    # Pool tasks keep the caller's errstate, so no RuntimeWarning escapes
+    # them either; the run ends in one DataError naming epoch and scene.
+    scenes = training_scenes(n=2, hw=hw)
+    net = build(ModelConfig.for_variant("small", mwr_factor=4), SeededRng(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=r" in epoch [0-7], scene [01]$"):
+            train(net, scenes, TrainConfig(learning_rate=lr, epochs=8, seed=0))
+    for name, value in named_parameters(net) + named_state(net):
+        assert np.isfinite(value).all(), name
 
 
 def test_train_is_bit_deterministic():
