@@ -8,13 +8,12 @@ contains a timestamp, so identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .errors import IceFusionError, UsageError, _check_range
+from .errors import _COUNT, _RATE, _SAMPLE_COUNT, IceFusionError, UsageError, _check_range
 from .importance import DEFAULT_TOP_K, analyze, compare_variants, ranked_groups, top_k
 from .network import _MIXING_ACTIVATIONS, _UPSAMPLE_MODES, ModelConfig, build
 from .rng import SeededRng
@@ -52,7 +51,7 @@ _SCENE_DIALS = {
 
 
 def _cmd_gen_data(args) -> int:
-    _check_range("--scenes", args.scenes, (int, "[)", 1, math.inf), UsageError)
+    _check_range("--scenes", args.scenes, _COUNT, UsageError)
     base = SceneConfig(**{field: getattr(args, dest) for dest, field in _SCENE_DIALS.items()})
     out = Path(args.out)
     master = SeededRng(args.seed)
@@ -78,6 +77,7 @@ def _cmd_train(args) -> int:
         seed=args.seed,
         shuffle=not args.no_shuffle,
     )
+    _check_range("--dropout-rate", args.dropout_rate, _RATE)
     scenes, manifest = load_dataset(args.data)
     dataset_id = manifest_dataset_id(manifest)
     factor = scenes[0].sar.shape[1] // scenes[0].mwr.shape[1]
@@ -119,6 +119,9 @@ def _cmd_analyze(args) -> int:
         raise UsageError(f"--format {args.format} contradicts --out {args.out}, a {kind} name")
     if args.eq1 != (args.n is not None):
         raise UsageError("--eq1 and --n, the pixel count behind each estimate, go together")
+    _check_range("--top-k", args.top_k, _COUNT, UsageError)
+    if args.n is not None:
+        _check_range("--n", args.n, _SAMPLE_COUNT, UsageError)
     net = load_checkpoint(args.ckpt)
     scenes, manifest = load_dataset(args.data)
     stats = collect_mixing_stats(net, scenes, btemp_source=args.btemp_stats)

@@ -6,7 +6,11 @@ status the CLI maps it to: 2 for usage problems, 3 for bad data or files,
 
 ``_is_int`` and ``_is_real`` are the package's one definition of an integer
 and of a (finite) real number argument; ``_check_range`` checks one against
-a declared range, as every config table and count check does.
+a declared range, as every config table and argument check does.  The ranges
+modules share are declared here once: ``_COUNT`` (a positive integer),
+``_SEED``, ``_RATE`` (a dropout rate) and ``_SAMPLE_COUNT`` (the pixel count
+behind a corrected z-score, at most 2**53 so that it converts to a float
+exactly).
 """
 import math
 
@@ -94,6 +98,12 @@ class ProvenanceError(IceFusionError):
 
     exit_code = 4
     code = "E_PROVENANCE"
+
+
+_COUNT = (int, "[)", 1, math.inf)
+_SEED = (int, "[)", 0, 2**64)
+_RATE = (float, "[)", 0.0, 1.0)
+_SAMPLE_COUNT = (int, "[]", 1, 2**53)
 
 
 def _is_int(value) -> bool:

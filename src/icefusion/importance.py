@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DeadNodeError, ProvenanceError, UsageError, _check_range
+from .errors import (_COUNT, _SAMPLE_COUNT, DataError, DeadNodeError, ProvenanceError, UsageError,
+                     _check_range)
 from .network import GROUP_BTEMP, FusionNetwork
 from .training import NATIVE_GRID, MixingStats
 
@@ -47,10 +48,6 @@ __all__ = [
 DEFAULT_TOP_K = 14
 
 
-# The range of a sample count or of k, as errors._check_range reads it.
-_COUNT = (int, "[)", 1, math.inf)
-
-
 def zscore(coefficient: float, sigma: float) -> float:
     """Coefficient scaled by its input's standard deviation: c / sigma."""
     _check_range("coefficient", coefficient, (float, "()", -math.inf, math.inf), DataError)
@@ -66,7 +63,7 @@ def zscore_corrected(coefficient: float, sigma: float, n: int) -> float:
     Computed as sqrt(n) * zscore(c, sigma) so the scaling relation to the
     uncorrected form holds exactly, including the n = 1 degeneracy.
     """
-    _check_range("sample count", n, _COUNT, UsageError)
+    _check_range("sample count", n, _SAMPLE_COUNT, UsageError)
     return math.sqrt(n) * zscore(coefficient, sigma)
 
 
@@ -148,7 +145,7 @@ def analyze(net: FusionNetwork, stats: MixingStats, *,
             f"stats cover {stats.sigma.shape[0]} inputs but the model has {d_total}"
         )
     if sample_count is not None:
-        _check_range("sample count", sample_count, _COUNT, UsageError)
+        _check_range("sample count", sample_count, _SAMPLE_COUNT, UsageError)
     if any(p != NATIVE_GRID for p in stats.btemp_provenance):
         raise ProvenanceError(
             "btemp statistics must be pooled on the native coarse grid before "

@@ -45,7 +45,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import ops
-from .errors import ConfigurationError, DimensionError, UsageError, _check_range, _is_int
+from .errors import _COUNT, _RATE, ConfigurationError, DimensionError, UsageError, _check_range
 from .rng import SeededRng
 
 __all__ = [
@@ -95,9 +95,8 @@ _PUBLISHED_WIDTH = 14
 _MIXING_ACTIVATIONS = ("linear", "relu")
 _UPSAMPLE_MODES = ("bilinear", "nearest")
 # Each numeric ModelConfig field's range, as errors._check_range reads it.
-_RANGES = {"dropout_rate": (float, "[)", 0.0, 1.0),
-           **dict.fromkeys(("scale0_width", "branch_width", "mwr_channels", "mwr_factor"),
-                           (int, "[)", 1, math.inf))}
+_RANGES = {"dropout_rate": _RATE,
+           **dict.fromkeys(("scale0_width", "branch_width", "mwr_channels", "mwr_factor"), _COUNT)}
 
 
 def scale_group_name(dilation: int) -> str:
@@ -144,18 +143,16 @@ class ModelConfig:
 
     def __post_init__(self):
         rates = self.dilation_rates
-        if not isinstance(rates, (tuple, list)) or not all(map(_is_int, rates)):
-            raise ConfigurationError(f"dilation rates must be integers, got {rates!r}")
+        if not isinstance(rates, (tuple, list)) or not rates:
+            raise ConfigurationError(f"dilation rates must be a non-empty sequence, got {rates!r}")
+        for d in rates:
+            _check_range("dilation rate", d, (int, "[)", 2, math.inf))
         rates = tuple(int(d) for d in rates)
         object.__setattr__(self, "dilation_rates", rates)
         if self.variant not in (*_BRANCH_WIDTH, "custom"):
             raise ConfigurationError(f"unknown variant {self.variant!r}")
-        if not rates or any(d < 2 for d in rates) or any(
-            b <= a for a, b in zip(rates, rates[1:])
-        ):
-            raise ConfigurationError(
-                f"dilation rates must be strictly increasing and at least 2, got {rates}"
-            )
+        if any(b <= a for a, b in zip(rates, rates[1:])):
+            raise ConfigurationError(f"dilation rates must be strictly increasing, got {rates}")
         for name, allowed in (("mixing_activation", _MIXING_ACTIVATIONS),
                               ("upsample_mode", _UPSAMPLE_MODES)):
             if getattr(self, name) not in allowed:

@@ -47,13 +47,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    _COUNT,
+    _RATE,
     ConfigurationError,
     DataError,
     DegenerateStatisticsError,
     DimensionError,
     UsageError,
-    _is_int,
-    _is_real,
+    _check_range,
 )
 from .rng import SeededRng
 
@@ -193,8 +194,7 @@ def _check_conv_args(x: np.ndarray, kernels: np.ndarray, dilation: int) -> None:
         raise ConfigurationError(f"kernels must be square, got {kh}x{kw}")
     if kh % 2 == 0:
         raise ConfigurationError(f"kernel size must be odd, got {kh}")
-    if not _is_int(dilation) or dilation < 1:
-        raise ConfigurationError(f"dilation must be a positive integer, got {dilation!r}")
+    _check_range("dilation", dilation, _COUNT)
     if x.shape[0] != cin:
         raise DimensionError(
             f"input has {x.shape[0]} channels but kernels expect {cin}"
@@ -341,11 +341,6 @@ def _box_sum(x: np.ndarray, before: int, after: int) -> np.ndarray:
     return out
 
 
-def _check_window(d) -> None:
-    if not _is_int(d) or d < 1:
-        raise ConfigurationError(f"window size must be a positive integer, got {d!r}")
-
-
 def avg_smooth(x, d: int) -> np.ndarray:
     """Mean over a d x d window around each pixel, channel-wise.
 
@@ -354,7 +349,7 @@ def avg_smooth(x, d: int) -> np.ndarray:
     with the image, so values are never diluted by padding.
     """
     x = _as_float64(x, "input", 3)
-    _check_window(d)
+    _check_range("window size", d, _COUNT)
     if d == 1:
         return x.copy()
     before, after = _window_reach(d)
@@ -366,7 +361,7 @@ def avg_smooth(x, d: int) -> np.ndarray:
 def avg_smooth_backward(grad_out, d: int) -> np.ndarray:
     """Gradient of :func:`avg_smooth`: the transpose of the window mean."""
     grad_out = _as_float64(grad_out, "grad_out", 3)
-    _check_window(d)
+    _check_range("window size", d, _COUNT)
     if d == 1:
         return grad_out.copy()
     before, after = _window_reach(d)
@@ -410,8 +405,7 @@ def upsample(x, factor: int, mode: str = "nearest") -> np.ndarray:
     order.
     """
     x = _as_float64(x, "input", 3)
-    if not _is_int(factor) or factor < 1:
-        raise ConfigurationError(f"factor must be a positive integer, got {factor!r}")
+    _check_range("factor", factor, _COUNT)
     if mode == "nearest":
         return np.repeat(np.repeat(x, factor, axis=1), factor, axis=2)
     if mode == "bilinear":
@@ -452,8 +446,7 @@ class NormState:
 
     @classmethod
     def initial(cls, channels: int) -> "NormState":
-        if not _is_int(channels) or channels < 1:
-            raise ConfigurationError(f"channel count must be a positive integer, got {channels!r}")
+        _check_range("channel count", channels, _COUNT)
         return cls(
             gamma=np.ones(channels),
             beta=np.zeros(channels),
@@ -632,8 +625,7 @@ def dropout(x, rate: float, rng: SeededRng | None, mode: str = "train"):
     held once the call returns.  Eval mode clears nothing.
     """
     x = np.asarray(x, dtype=np.float64)
-    if not (_is_real(rate) and 0.0 <= rate < 1.0):
-        raise ConfigurationError(f"dropout rate must lie in [0, 1), got {rate!r}")
+    _check_range("dropout rate", rate, _RATE)
     if mode == "eval" or rate == 0.0:
         return x.copy(), None
     if mode != "train":

@@ -13,15 +13,14 @@ draws derive one sub-stream per draw site.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, _is_int
+from .errors import _SEED, _check_range
 
 __all__ = ["SeededRng"]
-
-_MAX_SEED = 2**64
 
 
 @dataclass(frozen=True)
@@ -32,19 +31,13 @@ class SeededRng:
     path: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not _is_int(self.seed) or not 0 <= self.seed < _MAX_SEED:
-            raise ConfigurationError(
-                f"seed must be an integer in [0, 2**64), got {self.seed!r}"
-            )
+        _check_range("seed", self.seed, _SEED)
         for part in self.path:
-            if not _is_int(part) or part < 0:
-                raise ConfigurationError(
-                    f"stream path entries must be non-negative integers, got {part!r}"
-                )
+            _check_range("stream path entry", part, (int, "[)", 0, math.inf))
 
     def derive(self, *ids: int) -> "SeededRng":
         """Return the sub-stream at ``path + ids``. Pure, never advances state."""
-        return SeededRng(self.seed, self.path + tuple(int(i) for i in ids))
+        return SeededRng(self.seed, self.path + ids)
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the origin of this stream."""

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, _check_range, _is_int
-from .rng import _MAX_SEED, SeededRng
+from .errors import _COUNT, _SEED, ConfigurationError, DimensionError, _check_range
+from .rng import SeededRng
 
 __all__ = ["SceneConfig", "Scene", "generate", "ice_fraction_coarse"]
 
@@ -51,7 +51,7 @@ _RANGES = {
     "mwr_informative_fraction": (float, "(]", 0.0, 1.0),
     "blob_scale": (float, "(]", 0.0, 1e4),
     "edge_amplitude": (float, "[]", 0.0, 1e6),
-    "seed": (int, "[)", 0, _MAX_SEED),
+    "seed": _SEED,
 }
 
 
@@ -89,8 +89,7 @@ def ice_fraction_coarse(label, factor: int) -> np.ndarray:
     label = np.asarray(label, dtype=np.float64)
     if label.ndim != 3:
         raise DimensionError(f"label must be [C, H, W], got shape {label.shape}")
-    if not _is_int(factor) or factor < 1:
-        raise ConfigurationError(f"factor must be a positive integer, got {factor!r}")
+    _check_range("factor", factor, _COUNT)
     channels, height, width = label.shape
     if height % factor or width % factor:
         raise ConfigurationError(

@@ -11,14 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, DimensionError, UsageError, _check_range
+from .errors import (_COUNT, _SEED, ConfigurationError, DataError, DimensionError, UsageError,
+                     _check_range)
 from .network import (
     FusionNetwork,
     backward,
     forward,
     named_parameters,
 )
-from .rng import _MAX_SEED, SeededRng
+from .rng import SeededRng
 
 __all__ = [
     "TrainConfig",
@@ -43,8 +44,8 @@ _STREAM_STEP = 5
 _RANGES = {
     "learning_rate": (float, "()", 0.0, math.inf),
     "epochs": (int, "[)", 0, math.inf),
-    "batch_size": (int, "[)", 1, math.inf),
-    "seed": (int, "[)", 0, _MAX_SEED),
+    "batch_size": _COUNT,
+    "seed": _SEED,
 }
 
 
@@ -195,6 +196,7 @@ class MixingStats:
     native_pixel_count: int
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite spread is refused by name
 def collect_mixing_stats(net: FusionNetwork, scenes, btemp_source: str = NATIVE_GRID) -> MixingStats:
     """Pool mixing-input statistics over a dataset with eval-mode forwards.
 
@@ -202,6 +204,9 @@ def collect_mixing_stats(net: FusionNetwork, scenes, btemp_source: str = NATIVE_
     coarse grid (the supported analysis path) or the upsampled fine grid,
     which exists so that the downstream refusal of such statistics can be
     demonstrated.  Standard deviations are population standard deviations.
+    The first scene whose mixing inputs or squared deviations are not finite
+    is refused with :class:`DataError` naming it and the input's group,
+    unwarned by numpy.
     """
     _check_scenes(net, scenes)
     if btemp_source not in (NATIVE_GRID, UPSAMPLED_GRID):
@@ -239,6 +244,10 @@ def collect_mixing_stats(net: FusionNetwork, scenes, btemp_source: str = NATIVE_
             delta = block_mean - mean[sel]
             m2[sel] += flat.sum(axis=1) + delta**2 * (n * i / (i + 1))
             mean[sel] += delta / (i + 1)
+        bad = np.flatnonzero(~np.isfinite(m2))  # an inf or NaN stays in the sum once there
+        if bad.size:
+            group = next(g.name for g in cfg.groups if g.start <= bad[0] < g.stop)
+            raise DataError(f"mixing input {bad[0]} ({group}) has no finite spread in scene {i}")
 
     variance = m2 / (sizes * len(scenes))
     # A channel that never varies has zero variance by definition; do not let

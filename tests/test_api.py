@@ -2,17 +2,22 @@
 which modules importing the package loads."""
 import dataclasses
 import importlib
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import icefusion
-from icefusion import cli
+from icefusion import cli, ops
+from icefusion.errors import ConfigurationError
 from icefusion.network import ModelConfig
-from icefusion.scenes import SceneConfig
+from icefusion.rng import SeededRng
+from icefusion.scenes import SceneConfig, ice_fraction_coarse
 from icefusion.training import TrainConfig
 
 # Modules whose ``__all__`` the package root re-exports; ``ops`` and ``cli``
@@ -73,6 +78,54 @@ def test_root_all_is_the_module_lists_joined_without_repeats():
     joined = ["__version__"] + [n for m in ROOT_MODULES for n in submodule(m).__all__]
     assert icefusion.__all__ == joined
     assert len(set(joined)) == len(joined)
+
+
+X = np.zeros((2, 4, 4))
+KERNELS = np.zeros((1, 2, 3, 3))
+COUNT = "must be an integer in [1, inf), got"
+
+# Every argument check outside the config tables, each declared as a
+# range that errors._check_range reads, and the one message it refuses with.
+REFUSALS = {
+    "conv2d dilation 0": (lambda: ops.conv2d(X, KERNELS, np.zeros(1), dilation=0),
+                          f"dilation {COUNT} 0"),
+    "conv2d dilation True": (lambda: ops.conv2d(X, KERNELS, np.zeros(1), dilation=True),
+                             f"dilation {COUNT} True"),
+    "conv2d dilation 2.0": (lambda: ops.conv2d(X, KERNELS, np.zeros(1), dilation=2.0),
+                            f"dilation {COUNT} 2.0"),
+    "conv2d_backward dilation 0": (
+        lambda: ops.conv2d_backward(np.zeros((1, 4, 4)), X, KERNELS, dilation=0),
+        f"dilation {COUNT} 0"),
+    "avg_smooth window 0": (lambda: ops.avg_smooth(X, 0), f"window size {COUNT} 0"),
+    "avg_smooth_backward window 0": (lambda: ops.avg_smooth_backward(X, 0),
+                                     f"window size {COUNT} 0"),
+    "upsample factor 0": (lambda: ops.upsample(X, 0), f"factor {COUNT} 0"),
+    "NormState.initial(0)": (lambda: ops.NormState.initial(0), f"channel count {COUNT} 0"),
+    "dropout rate 1.0": (lambda: ops.dropout(X, 1.0, SeededRng(0)),
+                         "dropout rate must be a number in [0, 1), got 1.0"),
+    "dropout rate NaN": (lambda: ops.dropout(X, math.nan, SeededRng(0)),
+                         "dropout rate must be a number in [0, 1), got nan"),
+    "dropout rate True": (lambda: ops.dropout(X, True, SeededRng(0)),
+                          "dropout rate must be a number in [0, 1), got True"),
+    "SeededRng(-1)": (lambda: SeededRng(-1),
+                      f"seed must be an integer in [0, {2**64}), got -1"),
+    "SeededRng(2**64)": (lambda: SeededRng(2**64),
+                         f"seed must be an integer in [0, {2**64}), got {2**64}"),
+    "SeededRng(0, (-1,))": (lambda: SeededRng(0, (-1,)),
+                            "stream path entry must be an integer in [0, inf), got -1"),
+    "SeededRng.derive(1.5)": (lambda: SeededRng(0).derive(1.5),
+                              "stream path entry must be an integer in [0, inf), got 1.5"),
+    "ice_fraction_coarse factor 0": (lambda: ice_fraction_coarse(X, 0), f"factor {COUNT} 0"),
+    "dilation_rates=(1,)": (lambda: ModelConfig.for_variant("small", dilation_rates=(1,)),
+                            "dilation rate must be an integer in [2, inf), got 1"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_argument_checks_refuse_with_the_uniform_range_message(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def field_defaults(cls, skip=()):

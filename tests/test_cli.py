@@ -13,7 +13,7 @@ import pytest
 
 from icefusion.cli import _build_parser, main
 from icefusion.importance import AnalysisReport, ZScoreEntry, compare_variants
-from icefusion.network import ModelConfig, build
+from icefusion.network import ModelConfig, build, named_parameters
 from icefusion.rng import SeededRng
 from icefusion.storage import (
     ReportFile,
@@ -37,6 +37,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_child(*argv):
+    """The command in a child process, so that any RuntimeWarning numpy prints reaches stderr."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "icefusion", *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 @pytest.fixture(scope="module")
@@ -280,16 +289,11 @@ def test_gen_data_refuses_a_huge_grid_or_channel_count(capsys, tmp_path, extra):
 
 @pytest.mark.parametrize("lr", ["1e6", "1e308"])
 def test_divergent_training_exits_3_with_one_line(tmp_path, lr):
-    # A child process, so that any RuntimeWarning numpy prints reaches stderr.
     data, ckpt = tmp_path / "data", tmp_path / "m.ckpt"
     assert main(["gen-data", "--out", str(data), "--scenes", "2", "--height", "16",
                  "--width", "16", "--mwr-factor", "4"]) == 0
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "icefusion", "train", "--data", str(data),
-                           "--variant", "small", "--out", str(ckpt), "--epochs", "8",
-                           "--lr", lr], env=env, capture_output=True, text=True, timeout=120)
+    done = run_child("train", "--data", data, "--variant", "small", "--out", ckpt,
+                     "--epochs", "8", "--lr", lr)
     assert done.returncode == 3 and done.stdout == "", done.stderr
     assert done.stderr.count("\n") == 1, done.stderr
     assert re.fullmatch(r"E_DATA: .* in epoch [0-7], scene [01]\n", done.stderr)
@@ -436,6 +440,44 @@ def test_non_finite_checkpoint_exits_3(pipeline, capsys, tmp_path):
     assert code == 3 and out == "" and err.count("\n") == 1
     assert err.startswith("E_FORMAT:")
     assert not (tmp_path / "r.json").exists()
+
+
+def test_analyze_refuses_a_checkpoint_with_no_finite_spread(pipeline, tmp_path):
+    # Finite but huge weights: the mixing inputs' squared deviations overflow.
+    net = load_checkpoint(pipeline["ckpt"])
+    dict(named_parameters(net))["stem.0.kernels"][...] *= 1e200
+    ckpt, out = tmp_path / "huge.ckpt", tmp_path / "r.json"
+    save_checkpoint(net, ckpt, train_seed=1)
+    done = run_child("analyze", "--ckpt", ckpt, "--data", pipeline["data"], "--out", out)
+    assert done.returncode == 3 and done.stdout == "", done.stderr
+    assert re.fullmatch(r"E_DATA: mixing input \d+ \(scale-\d+\) has no finite spread "
+                        r"in scene 0\n", done.stderr), done.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["train", "--variant", "small", "--dropout-rate", "2"], "E_CONFIG"),
+    (["analyze", "--ckpt", "no.ckpt", "--top-k", "0"], "E_USAGE"),
+    (["analyze", "--ckpt", "no.ckpt", "--eq1", "--n", "0"], "E_USAGE"),
+])
+def test_numeric_flags_exit_2_before_any_file_is_read(capsys, tmp_path, argv, code):
+    out = tmp_path / "out.json"
+    status, stdout, err = run(capsys, *argv, "--data", str(tmp_path / "nowhere"),
+                              "--out", str(out))
+    assert status == 2 and stdout == "" and err.count("\n") == 1
+    assert err.startswith(f"{code}: --"), err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_analyze_refuses_a_sample_count_past_2_to_the_53(pipeline, capsys, tmp_path):
+    # Every count up to 2**53 converts to a float exactly; 10**400 did not convert at all.
+    out = tmp_path / "r.json"
+    for n in (10**400, 2**53 + 1):
+        code, stdout, err = run(capsys, "analyze", "--ckpt", str(pipeline["ckpt"]), "--data",
+                                str(pipeline["data"]), "--out", str(out), "--eq1", "--n", str(n))
+        assert code == 2 and stdout == "" and err.count("\n") == 1
+        assert err.startswith(f"E_USAGE: --n must be an integer in [1, {2**53}], got {n}")
+    assert not out.exists()
 
 
 def test_tied_groups_rank_in_group_order(capsys, tmp_path):

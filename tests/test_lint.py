@@ -9,7 +9,10 @@ only runtime dependencies are numpy and scipy: every module imports only
 the standard library, numpy and the package itself at module level, and
 scipy only inside a function of a module in ``SCIPY_MODULES`` (scene
 synthesis), so importing the package never loads scipy.  A module reaches
-another's private names only through the pinned ``PRIVATE_ALLOWLIST``.
+another's private names only through the pinned ``PRIVATE_ALLOWLIST``.  Only
+the modules in ``TYPE_TEST_MODULES`` test a value with ``_is_int`` or
+``_is_real``; every other argument check goes through ``_check_range`` and a
+declared range.
 """
 import ast
 import sys
@@ -26,6 +29,10 @@ RUNTIME_PACKAGES = set(sys.stdlib_module_names) | {"numpy", SRC.name}
 SCIPY_MODULES = {"scenes"}
 # Every private name one package module uses from another, as module.name.
 PRIVATE_ALLOWLIST = {
+    "errors._COUNT",
+    "errors._RATE",
+    "errors._SAMPLE_COUNT",
+    "errors._SEED",
     "errors._check_range",
     "errors._is_int",
     "errors._is_real",
@@ -34,9 +41,12 @@ PRIVATE_ALLOWLIST = {
     "network._value_count",
     "ops._apply_keep",
     "ops._scale_shift",
-    "rng._MAX_SEED",
     "storage._is_csv",
 }
+# The modules that may name errors._is_int or errors._is_real: their home, and
+# storage's validators of JSON fields, which refuse with FormatError by field.
+TYPE_TEST_MODULES = {"errors", "storage"}
+TYPE_TESTS = {"_is_int", "_is_real"}
 
 
 def parse(module):
@@ -277,3 +287,32 @@ def test_foreign_private_names_are_caught():
     assert foreign_private_names(tree) == {
         "errors._is_int", "storage._atomic_write_bytes", "ops._mask_scale",
         "network._value_count", "rng._seed"}
+
+
+def type_test_names(tree):
+    """``_is_int``/``_is_real`` as the module names them: imported, called or read."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return sorted(names & TYPE_TESTS)
+
+
+@pytest.mark.parametrize("module", sorted(set(ALL_MODULES) - TYPE_TEST_MODULES))
+def test_argument_ranges_are_checked_only_through_check_range(module):
+    stray = type_test_names(parse(module))
+    assert not stray, f"{module}.py checks a range by hand with {stray}; use errors._check_range"
+
+
+def test_type_test_names_are_caught():
+    tree = ast.parse(
+        "from .errors import _is_int as whole, _check_range\n"
+        "from . import errors\n"
+        "def f(x):\n"
+        "    return errors._is_real(x) or _is_int(x) or _check_range('x', x, SPEC)\n"
+    )
+    assert type_test_names(tree) == ["_is_int", "_is_real"]
