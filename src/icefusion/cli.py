@@ -25,7 +25,6 @@ from .storage import (
     dump_json,
     load_checkpoint,
     load_dataset,
-    manifest_dataset_id,
     read_report,
     save_checkpoint,
     save_scene,
@@ -79,7 +78,7 @@ def _cmd_train(args) -> int:
     )
     _check_range("--dropout-rate", args.dropout_rate, _RATE)
     scenes, manifest = load_dataset(args.data)
-    dataset_id = manifest_dataset_id(manifest)
+    dataset_id = manifest["dataset_id"]
     factor = scenes[0].sar.shape[1] // scenes[0].mwr.shape[1]
     config = ModelConfig.for_variant(
         args.variant,
@@ -100,11 +99,7 @@ def _cmd_train(args) -> int:
         "tool_version": __version__,
         "dataset_id": dataset_id,
         "variant": args.variant,
-        "epochs": args.epochs,
-        "learning_rate": args.lr,
-        "batch_size": args.batch_size,
-        "seed": args.seed,
-        "shuffle": train_cfg.shuffle,
+        **asdict(train_cfg),
         "loss_history": history,
     }
     atomic_write_text(log_path, dump_json(log))
@@ -133,7 +128,7 @@ def _cmd_analyze(args) -> int:
         print(f"W_TOP_K: {warning.message}", file=sys.stderr)
     provenance = {
         "checkpoint_sha256": sha256_file(args.ckpt),
-        "dataset_id": manifest_dataset_id(manifest),
+        "dataset_id": manifest["dataset_id"],
         "btemp_provenance": list(stats.btemp_provenance),
         "pixel_counts": {
             "fine": stats.fine_pixel_count,

@@ -292,13 +292,6 @@ class _Cache:
     prob: np.ndarray
 
 
-def _init_conv(cin: int, cout: int, k: int, rng: SeededRng) -> ConvLayer:
-    fan_in = cin * k * k
-    bound = 1.0 / np.sqrt(fan_in)
-    kernels = rng.uniform(-bound, bound, (cout, cin, k, k))
-    return ConvLayer(kernels=kernels, bias=np.zeros(cout))
-
-
 def build(config: ModelConfig, rng: SeededRng) -> FusionNetwork:
     """Construct a network with freshly initialized parameters.
 
@@ -309,48 +302,58 @@ def build(config: ModelConfig, rng: SeededRng) -> FusionNetwork:
     """
     if not isinstance(rng, SeededRng):
         raise UsageError("build needs a SeededRng")
-    stem_width, width = config.scale0_width, config.branch_width
-    stem = []
-    cin = SAR_CHANNELS
-    for i in range(_STEM_DEPTH):
-        stem.append(_init_conv(cin, stem_width, _KERNEL_SIZE, rng.derive(_STREAM_STEM, i)))
-        cin = stem_width
 
-    branches = []
-    for b, d in enumerate(config.dilation_rates):
-        convs = []
-        cin = stem_width
-        for j in range(2 * _BRANCH_BLOCKS):
-            convs.append(_init_conv(cin, width, _KERNEL_SIZE, rng.derive(_STREAM_BRANCH, b, j)))
-            cin = width
-        norms = [ops.NormState.initial(width) for _ in range(_BRANCH_BLOCKS)]
-        branches.append(Branch(dilation=d, convs=convs, norms=norms))
+    def draw(name, shape, init):
+        if not isinstance(init, tuple):
+            return np.full(shape, init)
+        # A kernel's fan-in is its input channels times its taps; the mixing
+        # layer's is its width.
+        fan_in = math.prod(shape[1:]) if len(shape) > 1 else shape[0]
+        bound = 1.0 / np.sqrt(fan_in)
+        return rng.derive(*init).uniform(-bound, bound, shape)
 
-    d_total = config.mixing_width
-    bound = 1.0 / np.sqrt(d_total)
-    coeffs = rng.derive(_STREAM_MIXING).uniform(-bound, bound, d_total)
-    return FusionNetwork(
-        config=config,
-        stem=stem,
-        branches=branches,
-        mixing_coefficients=coeffs,
-        mixing_bias=np.zeros(()),
-    )
+    return _assemble(config, draw)
 
 
-def _value_count(config: ModelConfig) -> int:
-    """Float64 values in the parameters and running statistics ``build(config)`` makes.
+def _assemble(config: ModelConfig, take) -> FusionNetwork:
+    """The one walk of the fixed architecture, shared by ``build`` and the checkpoint loader.
 
-    Lets a loader hold a stored config against its payload before allocating
-    the network it describes.
+    Asks ``take(name, shape, init)`` for every parameter and running
+    statistic, named and ordered as :func:`named_parameters` then
+    :func:`named_state` list them, and wires the arrays it returns into a
+    network.  ``init`` is the stream path a weight draws from, or the
+    constant the array starts at.
     """
-    taps = _KERNEL_SIZE * _KERNEL_SIZE
-    stem, width = config.scale0_width, config.branch_width
-    count = (SAR_CHANNELS * taps + 1) * stem + (_STEM_DEPTH - 1) * (stem * taps + 1) * stem
-    branch = (stem * taps + 1) * width
-    branch += (2 * _BRANCH_BLOCKS - 1) * (width * taps + 1) * width
-    branch += _BRANCH_BLOCKS * 4 * width  # gamma, beta, running mean and variance
-    return count + len(config.dilation_rates) * branch + config.mixing_width + 1
+    stem_width, width = config.scale0_width, config.branch_width
+
+    def conv(prefix: str, cin: int, cout: int, stream: tuple) -> ConvLayer:
+        shape = (cout, cin, _KERNEL_SIZE, _KERNEL_SIZE)
+        return ConvLayer(kernels=take(f"{prefix}.kernels", shape, stream),
+                         bias=take(f"{prefix}.bias", (cout,), 0.0))
+
+    stem = [conv(f"stem.{i}", SAR_CHANNELS if i == 0 else stem_width, stem_width,
+                 (_STREAM_STEM, i)) for i in range(_STEM_DEPTH)]
+    parts = []
+    for b, d in enumerate(config.dilation_rates):
+        convs = [conv(f"branch.{d}.conv{j}", stem_width if j == 0 else width, width,
+                      (_STREAM_BRANCH, b, j)) for j in range(2 * _BRANCH_BLOCKS)]
+        scales = [(take(f"branch.{d}.norm{j}.gamma", (width,), 1.0),
+                   take(f"branch.{d}.norm{j}.beta", (width,), 0.0))
+                  for j in range(_BRANCH_BLOCKS)]
+        parts.append((d, convs, scales))
+    coefficients = take("mixing.coefficients", (config.mixing_width,), (_STREAM_MIXING,))
+    bias = take("mixing.bias", (), 0.0)
+    # The running statistics come after every parameter, as in a checkpoint.
+    branches = [
+        Branch(dilation=d, convs=convs, norms=[
+            ops.NormState(gamma, beta,
+                          take(f"branch.{d}.norm{j}.running_mean", (width,), 0.0),
+                          take(f"branch.{d}.norm{j}.running_var", (width,), 1.0))
+            for j, (gamma, beta) in enumerate(scales)])
+        for d, convs, scales in parts
+    ]
+    return FusionNetwork(config=config, stem=stem, branches=branches,
+                         mixing_coefficients=coefficients, mixing_bias=bias)
 
 
 def _check_inputs(config: ModelConfig, sar: np.ndarray, mwr: np.ndarray) -> None:

@@ -352,7 +352,10 @@ def avg_smooth(x, d: int) -> np.ndarray:
     _check_range("window size", d, _COUNT)
     if d == 1:
         return x.copy()
-    before, after = _window_reach(d)
+    # A reach past the grid's side covers the whole axis either way; capped
+    # there, the summed-area table stays the grid's size whatever d is.
+    side = max(x.shape[1:])
+    before, after = (min(reach, side) for reach in _window_reach(d))
     out = _box_sum(x, before, after)
     out /= _window_counts(*x.shape[1:], before, after)
     return out
@@ -364,7 +367,8 @@ def avg_smooth_backward(grad_out, d: int) -> np.ndarray:
     _check_range("window size", d, _COUNT)
     if d == 1:
         return grad_out.copy()
-    before, after = _window_reach(d)
+    side = max(grad_out.shape[1:])  # capped as in avg_smooth
+    before, after = (min(reach, side) for reach in _window_reach(d))
     counts = _window_counts(*grad_out.shape[1:], before, after)
     # Input pixel u feeds output y whenever u is inside y's window, i.e.
     # y in [u-after, u+before]: the reflected window.

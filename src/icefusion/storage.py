@@ -34,16 +34,8 @@ from .errors import (
     _is_real,
 )
 from .importance import AnalysisReport, ComparisonReport, ZScoreEntry, ranked_groups
-from .network import (
-    SAR_CHANNELS,
-    FusionNetwork,
-    ModelConfig,
-    _value_count,
-    build,
-    named_parameters,
-    named_state,
-)
-from .rng import SeededRng
+from .network import (SAR_CHANNELS, FusionNetwork, ModelConfig, _assemble, named_parameters,
+                      named_state)
 from .scenes import Scene, SceneConfig
 from .training import NATIVE_GRID, UPSAMPLED_GRID
 from .version import __version__
@@ -58,7 +50,6 @@ __all__ = [
     "load_scene",
     "write_manifest",
     "read_manifest",
-    "manifest_dataset_id",
     "load_dataset",
     "write_report",
     "read_report",
@@ -254,23 +245,18 @@ def load_checkpoint(path) -> FusionNetwork:
         config = ModelConfig.from_dict(header.get("model_config"))
     except ConfigurationError as exc:
         raise FormatError(f"checkpoint is missing a valid model config: {exc}") from exc
-    # A config that needs more values than the file holds cannot match it;
-    # refuse before building, which allocates whatever the config claims.
-    needed, stored = _value_count(config), sum(value.size for value in arrays.values())
-    if needed > stored:
-        raise IntegrityError(f"checkpoint config needs {needed} values, the file holds {stored}")
-    net = build(config, SeededRng(0))
-    expected = named_parameters(net) + named_state(net)
-    for name, value in expected:
+
+    def stored(name, shape, init):
         if name not in arrays:
             raise IntegrityError(f"checkpoint lacks array {name!r}")
-        stored = arrays[name]
-        if stored.shape != value.shape:
+        value = arrays[name]
+        if value.shape != shape:
             raise IntegrityError(
-                f"checkpoint array {name!r} has shape {stored.shape}, expected {value.shape}"
+                f"checkpoint array {name!r} has shape {value.shape}, expected {shape}"
             )
-        value[...] = stored
-    return net
+        return value
+
+    return _assemble(config, stored)
 
 
 # ---------------------------------------------------------------------------
@@ -299,21 +285,23 @@ def load_scene(path) -> tuple[Scene, SceneConfig]:
     return scene, cfg
 
 
+def _dataset_id(digests: list[str]) -> str:
+    """A dataset's id: the SHA-256 of its scenes' digests, joined in manifest order."""
+    return hashlib.sha256("".join(digests).encode("ascii")).hexdigest()
+
+
 def write_manifest(directory, scene_files: list[str], generator: dict, master_seed: int) -> Path:
     """Record the dataset's members, their digests and a stable dataset id."""
     directory = Path(directory)
     entries = []
     for name in scene_files:
         entries.append({"file": name, "sha256": sha256_file(directory / name)})
-    dataset_id = hashlib.sha256(
-        "".join(e["sha256"] for e in entries).encode("ascii")
-    ).hexdigest()
     manifest = {
         **_envelope(_MANIFEST_SCHEMA),
         "generator": generator,
         "master_seed": master_seed,
         "scenes": entries,
-        "dataset_id": dataset_id,
+        "dataset_id": _dataset_id([e["sha256"] for e in entries]),
     }
     path = directory / MANIFEST_NAME
     atomic_write_text(path, dump_json(manifest))
@@ -327,21 +315,14 @@ def read_manifest(directory) -> dict:
     return _read_document(path, _MANIFEST_SCHEMA)
 
 
-def manifest_dataset_id(manifest: dict) -> str:
-    try:
-        return manifest["dataset_id"]
-    except KeyError as exc:
-        raise FormatError("manifest lacks a dataset id") from exc
-
-
 def load_dataset(directory) -> tuple[list[Scene], dict]:
-    """All scenes named by the directory's manifest, digest-checked."""
+    """All scenes named by the directory's manifest, digest-checked, as is its dataset id."""
     directory = Path(directory)
     manifest = read_manifest(directory)
     entries = manifest.get("scenes")
     if not isinstance(entries, list) or not entries:
         raise FormatError(f"the manifest in {directory} lists no scenes")
-    scenes = []
+    scenes, digests = [], []
     for entry in entries:
         try:
             path, digest = directory / entry["file"], entry["sha256"]
@@ -351,6 +332,10 @@ def load_dataset(directory) -> tuple[list[Scene], dict]:
             raise IntegrityError(f"scene {path} does not match its manifest digest")
         scene, _ = load_scene(path)
         scenes.append(scene)
+        digests.append(digest)
+    if manifest.get("dataset_id") != _dataset_id(digests):
+        raise IntegrityError(f"the manifest in {directory} holds dataset id "
+                             f"{manifest.get('dataset_id')!r}, not its scenes' digest")
     return scenes, manifest
 
 

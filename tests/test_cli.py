@@ -3,6 +3,7 @@ import argparse
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -440,6 +441,30 @@ def test_non_finite_checkpoint_exits_3(pipeline, capsys, tmp_path):
     assert code == 3 and out == "" and err.count("\n") == 1
     assert err.startswith("E_FORMAT:")
     assert not (tmp_path / "r.json").exists()
+
+
+def test_a_manifest_whose_id_is_not_its_scenes_digest_exits_3(pipeline, capsys, tmp_path):
+    manifest = read_manifest(pipeline["data"])
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    for dataset_id in ("not-the-digest-of-these-scenes", [1, 2]):
+        (data / "manifest.json").write_text(json.dumps(dict(manifest, dataset_id=dataset_id)))
+        for argv in (["train", "--data", str(data), "--variant", "small", "--epochs", "1"],
+                     ["analyze", "--ckpt", str(pipeline["ckpt"]), "--data", str(data)]):
+            code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+            assert code == 3 and out == "" and err.count("\n") == 1, err
+            assert err.startswith("E_INTEGRITY:") and "dataset id" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_analyze_reads_a_checkpoint_whose_dilation_passes_the_grid(pipeline, capsys, tmp_path):
+    config = replace(load_checkpoint(pipeline["ckpt"]).config, dilation_rates=(2, 4, 8, 2**40))
+    ckpt, out = tmp_path / "far.ckpt", tmp_path / "r.json"
+    save_checkpoint(build(config, SeededRng(0)), ckpt)
+    code, _, err = run(capsys, "analyze", "--ckpt", str(ckpt), "--data", str(pipeline["data"]),
+                       "--out", str(out))
+    assert code == 0, err
+    assert f"scale-{2**40}" in read_report(out).report.group_sums
 
 
 def test_analyze_refuses_a_checkpoint_with_no_finite_spread(pipeline, tmp_path):

@@ -38,7 +38,7 @@ PRIVATE_ALLOWLIST = {
     "errors._is_real",
     "network._MIXING_ACTIVATIONS",
     "network._UPSAMPLE_MODES",
-    "network._value_count",
+    "network._assemble",
     "ops._apply_keep",
     "ops._scale_shift",
     "storage._is_csv",

@@ -22,7 +22,7 @@ from icefusion.errors import (
 from icefusion.network import (
     SAR_CHANNELS,
     ModelConfig,
-    _value_count,
+    _assemble,
     backward,
     build,
     forward,
@@ -125,10 +125,17 @@ def test_config_validation():
     ModelConfig.for_variant("large", mwr_factor=4),
     ModelConfig.custom(3, 2, dilation_rates=(2, 3), mwr_channels=2),
 ])
-def test_value_count_matches_the_built_network(config):
+def test_assemble_walks_the_arrays_named_parameters_and_state_list(config):
+    walked = []
+
+    def record(name, shape, init):
+        walked.append((name, shape))
+        return np.zeros(shape)
+
+    _assemble(config, record)
     net = build(config, SeededRng(0))
     stored = named_parameters(net) + named_state(net)
-    assert _value_count(config) == sum(value.size for _, value in stored)
+    assert walked == [(name, value.shape) for name, value in stored]
 
 
 def test_config_dict_round_trip():

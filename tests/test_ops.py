@@ -518,6 +518,17 @@ def test_avg_smooth_outputs_share_no_memory_with_the_cached_counts():
             assert not np.shares_memory(out, other)
 
 
+@pytest.mark.parametrize("height, width", [(8, 8), (13, 37), (5, 1), (1, 7)])
+def test_avg_smooth_windows_past_the_grid_match_a_whole_grid_window(height, width):
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(2, height, width))
+    wide = 2 * max(height, width)
+    for op in (avg_smooth, avg_smooth_backward):
+        assert op(x, 2**40).tobytes() == op(x, wide).tobytes(), op.__name__
+    npt.assert_allclose(avg_smooth(x, 2**40), np.broadcast_to(
+        x.mean(axis=(1, 2), keepdims=True), x.shape), rtol=1e-12, atol=1e-12)
+
+
 def test_avg_smooth_validation():
     with pytest.raises(ConfigurationError):
         avg_smooth(np.zeros((1, 4, 4)), 0)

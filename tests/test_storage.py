@@ -1,6 +1,7 @@
 """File formats: containers, checkpoints, scene manifests, and reports."""
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,6 @@ from icefusion.storage import (
     load_checkpoint,
     load_dataset,
     load_scene,
-    manifest_dataset_id,
     read_manifest,
     read_report,
     save_checkpoint,
@@ -98,6 +98,29 @@ def test_checkpoint_round_trips_configs_given_numpy_scalars(tmp_path, config):
     assert loaded.config == config
     for field, value in config.to_dict().items():
         assert type(value) in (str, int, float, tuple), field
+    for (name, original), (_, restored) in zip(named_parameters(net),
+                                               named_parameters(loaded)):
+        npt.assert_array_equal(original, restored, err_msg=name)
+
+
+@pytest.mark.parametrize("variant", ["small", "large"])
+def test_checkpoint_save_of_a_load_reproduces_the_file(tmp_path, variant):
+    path, again = tmp_path / "model.ckpt", tmp_path / "again.ckpt"
+    save_checkpoint(build(ModelConfig.for_variant(variant), SeededRng(4)), path)
+    save_checkpoint(load_checkpoint(path), again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_load_draws_no_random_numbers(tmp_path, monkeypatch):
+    net = toy_net()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(net, path)
+
+    def refuse(self):
+        raise AssertionError("a load drew from a random stream")
+
+    monkeypatch.setattr(SeededRng, "generator", refuse)
+    loaded = load_checkpoint(path)
     for (name, original), (_, restored) in zip(named_parameters(net),
                                                named_parameters(loaded)):
         npt.assert_array_equal(original, restored, err_msg=name)
@@ -176,13 +199,20 @@ def test_malformed_checkpoint_configs_exit_3(tmp_path, capsys, edit):
 
 
 def test_checkpoint_config_beyond_its_payload_is_refused_before_building(tmp_path):
-    # A consistent config of 10**5-wide groups would allocate about 7 TB.
+    # A consistent config of 10**5-wide groups would allocate about 7 TB; the
+    # load holds the file, its payload and a copy of each array, about 3x its size.
     path = tmp_path / "model.ckpt"
-    save_checkpoint(toy_net(), path)
+    save_checkpoint(build(ModelConfig.for_variant("large"), SeededRng(0)), path)
     wide = ModelConfig.custom(10**5, 10**5, dilation_rates=(2, 4), mwr_channels=10**5)
     rewrite_header(path, model_config=wide.to_dict())
-    with pytest.raises(IntegrityError, match="needs"):
-        load_checkpoint(path)
+    tracemalloc.start()
+    try:
+        with pytest.raises(IntegrityError, match="has shape"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * path.stat().st_size
 
 
 def test_container_array_records_are_validated(tmp_path):
@@ -280,7 +310,7 @@ def test_manifest_and_dataset_loading(tmp_path):
     manifest = read_manifest(tmp_path)
     assert [e["file"] for e in manifest["scenes"]] == names
     digest_cat = "".join(sha256_file(tmp_path / n) for n in names)
-    assert manifest_dataset_id(manifest) == hashlib.sha256(
+    assert manifest["dataset_id"] == hashlib.sha256(
         digest_cat.encode("ascii")).hexdigest()
 
     loaded, loaded_manifest = load_dataset(tmp_path)
