@@ -126,9 +126,9 @@ class ModelConfig:
     radiometer channels); ``group_widths`` and ``groups`` derive that
     partition.  ``variant`` selects the published widths: ``small`` is 14
     everywhere, ``large`` widens the branches to 28, and both read 14 mwr
-    channels.  ``custom`` accepts any positive widths for toy models.
-    Depths, kernel size and radar channel count are fixed (see
-    ``SAR_CHANNELS``).
+    channels.  ``custom`` accepts any positive widths for toy models.  Dilation
+    rates are bounded only from below: every op caps their reach at the grid.
+    Depths, kernel size and radar channel count are fixed (see ``SAR_CHANNELS``).
     """
 
     variant: str

@@ -16,17 +16,17 @@ OpenBLAS runs an unpacked small-matrix kernel, fastest when the window
 matrix starts on a 64-byte boundary.  So each band's strided view of the
 padded input is copied in one C-level pass into one 64-byte-aligned buffer,
 made once per call.  Kernel taps whose dilated offset reaches past the whole
-grid read only zero padding; ``conv2d`` leaves them out of the window matrix
-and the GEMM, and when no kept tap leaves the grid it pads and copies nothing.
+grid read only zero padding; both directions leave them out of the window
+matrices and the GEMMs, so no op allocates with the dilation rate.
 
 ``sigmoid`` takes its exp from libm through ``math.exp``, one element at a
 time: numpy's SIMD ``np.exp`` differs from libm in the last bit for some
 inputs, and libm's exp is what ``scipy.special.expit`` computes, so the
 output layer keeps expit's bits with numpy alone.
 
-``conv2d_backward`` adds each tap's input gradient as one contiguous shift of
-the flattened image; columns that would wrap across a row end are zeroed, and
-the +0 they add changes no bit, since the gradient never holds -0.
+``conv2d_backward`` adds each kept tap's input gradient as one contiguous
+shift of the flattened image; columns that would wrap across a row end are
+zeroed, and the +0 they add changes no bit, since the gradient never holds -0.
 
 Geometry that depends only on shapes is worked out once and cached in bounded
 ``functools.lru_cache`` tables, so a call on a shape seen before does only
@@ -110,13 +110,13 @@ def _tap_slices(offset: int, n: int) -> tuple[slice, slice]:
 
 @dataclass(frozen=True)
 class _ConvPlan:
-    """Geometry of one conv2d shape, worked out once per (cout, cin, k, dilation, H, W).
+    """Geometry of one conv shape, worked out once per (cout, cin, k, dilation, H, W).
 
     ``rows`` and ``cols`` are the kept taps of each axis (see
     :func:`_kept_taps`) and ``bands`` the [y0, y1) output-row ranges of the
-    im2col bands.  ``wrap`` holds, per off-centre kept column tap tx, the
-    [x0, x1) source columns its offset carries across a row end.  ``scatter``
-    holds, per kept tap in tap order, its flat index ty * k + tx and the flat
+    im2col bands.  ``wrap`` holds, per off-centre kept column tap, its index
+    among the kept columns and the [x0, x1) source columns its offset carries
+    across a row end.  ``scatter`` holds, per kept tap in tap order, the flat
     ranges :func:`_tap_slices` gives for the offset oy * W + ox.
     """
 
@@ -126,7 +126,7 @@ class _ConvPlan:
     kx: int
     bands: tuple[tuple[int, int], ...]
     wrap: tuple[tuple[int, int, int], ...]
-    scatter: tuple[tuple[int, slice, slice], ...]
+    scatter: tuple[tuple[slice, slice], ...]
 
 
 @functools.lru_cache(maxsize=64)
@@ -136,11 +136,11 @@ def _conv_plan(cout: int, cin: int, k: int, dilation: int, height: int, width: i
     band = max(1, _BAND_MACS // (cout * cin * ky * kx * width))
     bands = tuple((y0, min(y0 + band, height)) for y0 in range(0, height, band))
     center = (k - 1) // 2
-    offsets = [(t, (t - center) * dilation) for t in range(k)]
+    offsets = [(t - center) * dilation for t in range(k)]
     wrap = tuple((tx, width - ox, width) if ox > 0 else (tx, 0, -ox)
-                 for tx, ox in offsets[cols] if ox)
-    scatter = tuple((ty * k + tx, *_tap_slices(oy * width + ox, height * width))
-                    for ty, oy in offsets[rows] for tx, ox in offsets[cols])
+                 for tx, ox in enumerate(offsets[cols]) if ox)
+    scatter = tuple(_tap_slices(oy * width + ox, height * width)
+                    for oy in offsets[rows] for ox in offsets[cols])
     return _ConvPlan(rows, cols, ky, kx, bands, wrap, scatter)
 
 
@@ -188,7 +188,10 @@ def _dilated_windows(padded: np.ndarray, ky: int, kx: int, dilation: int,
     return win
 
 
-def _check_conv_args(x: np.ndarray, kernels: np.ndarray, dilation: int) -> None:
+def _conv_operands(x, kernels, dilation: int):
+    """Float64 ``x`` and ``kernels``, checked, with their plan and kept-tap weight matrix."""
+    x = _as_float64(x, "input", 3)
+    kernels = _as_float64(kernels, "kernels", 4)
     cout, cin, kh, kw = kernels.shape
     if kh != kw:
         raise ConfigurationError(f"kernels must be square, got {kh}x{kw}")
@@ -199,6 +202,9 @@ def _check_conv_args(x: np.ndarray, kernels: np.ndarray, dilation: int) -> None:
         raise DimensionError(
             f"input has {x.shape[0]} channels but kernels expect {cin}"
         )
+    plan = _conv_plan(cout, cin, kh, dilation, *x.shape[1:])
+    weights = kernels[:, :, plan.rows, plan.cols].reshape(cout, cin * plan.ky * plan.kx)
+    return x, kernels, plan, weights
 
 
 def conv2d(x, kernels, bias, dilation: int = 1) -> np.ndarray:
@@ -218,17 +224,13 @@ def conv2d(x, kernels, bias, dilation: int = 1) -> np.ndarray:
     band's windows go into one 64-byte-aligned buffer, and its GEMM writes
     its own columns of the output.
     """
-    x = _as_float64(x, "input", 3)
-    kernels = _as_float64(kernels, "kernels", 4)
+    x, kernels, plan, weights = _conv_operands(x, kernels, dilation)
     bias = _as_float64(bias, "bias", 1)
-    _check_conv_args(x, kernels, dilation)
-    cout, cin, k, _ = kernels.shape
+    cout = kernels.shape[0]
     if bias.shape[0] != cout:
         raise DimensionError(f"bias has {bias.shape[0]} entries, expected {cout}")
     height, width = x.shape[1:]
-    plan = _conv_plan(cout, cin, k, dilation, height, width)
     ky, kx = plan.ky, plan.kx
-    weights = kernels[:, :, plan.rows, plan.cols].reshape(cout, cin * ky * kx)
     padded = _padded(x, plan.rows, plan.cols, dilation)
     if len(plan.bands) == 1:
         out = weights @ _dilated_windows(padded, ky, kx, dilation, 0, height)
@@ -248,44 +250,44 @@ def conv2d_backward(grad_out, x, kernels, dilation: int = 1):
     """Gradients of :func:`conv2d` at (x, kernels).
 
     Returns ``(grad_x, grad_kernels, grad_bias)`` for the upstream gradient
-    ``grad_out`` of shape [Cout, H, W].  The im2col covers every tap and the
-    whole image in one matrix, so ``grad_kernels`` reduces over all pixels in
-    one GEMM, in the same order whatever the grid.  Each kept tap adds its
-    spread map to the flattened ``grad_x`` at offset oy * W + ox, in tap
-    order, once the source columns the offset carries across a row end are
-    zeroed.  ``grad_x`` starts at +0 and a sum is -0 only if both terms are,
-    so those +0 terms change no bit: the result is a zero-padded scatter's.
+    ``grad_out`` of shape [Cout, H, W].  The im2col covers the taps
+    :func:`conv2d` keeps and the whole image in one matrix, so each kept tap's
+    gradient reduces over all pixels in one GEMM; a skipped tap's is +0.  Each
+    kept tap adds its spread map to the flattened ``grad_x`` at offset
+    oy * W + ox, in tap order, once the source columns the offset carries
+    across a row end are zeroed.  ``grad_x`` starts at +0 and a sum is -0 only
+    if both terms are, so those +0 terms change no bit: the result is a
+    zero-padded scatter's.
     """
     grad_out = _as_float64(grad_out, "grad_out", 3)
-    x = _as_float64(x, "input", 3)
-    kernels = _as_float64(kernels, "kernels", 4)
-    _check_conv_args(x, kernels, dilation)
-    cout, cin, k, _ = kernels.shape
+    x, kernels, plan, weights = _conv_operands(x, kernels, dilation)
+    cout, cin = kernels.shape[:2]
     height, width = x.shape[1:]
     if grad_out.shape != (cout, height, width):
         raise DimensionError(
             f"grad_out shape {grad_out.shape} does not match output ({cout}, {height}, {width})"
         )
-    taps = slice(0, k)
-    flat = _dilated_windows(_padded(x, taps, taps, dilation), k, k, dilation, 0, height)
+    ky, kx = plan.ky, plan.kx
+    flat = _dilated_windows(_padded(x, plan.rows, plan.cols, dilation), ky, kx, dilation,
+                            0, height)
     g2 = grad_out.reshape(cout, height * width)
 
-    grad_kernels = (g2 @ flat.T).reshape(cout, cin, k, k)
+    grad_kernels = np.zeros(kernels.shape)
+    grad_kernels[:, :, plan.rows, plan.cols] = (g2 @ flat.T).reshape(cout, cin, ky, kx)
     # Free the window matrix before the equally large spread is built: with
     # both alive the heap grows past the allocator's trim threshold and is
     # returned to the OS and faulted back in on every call.  The spread must
-    # not take the matrix's buffer instead: at k = 1 nothing is padded, and
-    # the matrix is a view of the caller's x.
+    # not take the matrix's buffer instead: with one kept tap (k = 1, or a
+    # rate past the grid) the matrix is a view of the caller's x.
     del flat
     grad_bias = grad_out.sum(axis=(1, 2))
 
-    plan = _conv_plan(cout, cin, k, dilation, height, width)
-    spread = (kernels.reshape(cout, cin * k * k).T @ g2).reshape(cin, k, k, height, width)
+    spread = (weights.T @ g2).reshape(cin, ky, kx, height, width)
     for tx, x0, x1 in plan.wrap:
-        spread[:, plan.rows, tx, :, x0:x1] = 0.0
+        spread[:, :, tx, :, x0:x1] = 0.0
     grad_x = np.zeros((cin, height, width))
-    flat_x, flat_spread = grad_x.reshape(cin, -1), spread.reshape(cin, k * k, -1)
-    for tap, dst, src in plan.scatter:
+    flat_x, flat_spread = grad_x.reshape(cin, -1), spread.reshape(cin, ky * kx, -1)
+    for tap, (dst, src) in enumerate(plan.scatter):
         flat_x[:, dst] += flat_spread[:, tap, src]
     return grad_x, grad_kernels, grad_bias
 
@@ -294,11 +296,13 @@ def conv2d_backward(grad_out, x, kernels, dilation: int = 1):
 # Window-mean smoothing
 
 
-def _window_reach(d: int) -> tuple[int, int]:
-    """Offsets covered by a d-wide window: -before .. +after inclusive."""
+def _window_reach(d: int, side: int) -> tuple[int, int]:
+    """Offsets -before .. +after of a d-wide window, capped at the grid's longer ``side``.
+
+    Past it a reach covers the whole axis either way, so the table stays the grid's size.
+    """
     before = d // 2
-    after = d - 1 - before
-    return before, after
+    return min(before, side), min(d - 1 - before, side)
 
 
 @functools.lru_cache(maxsize=64)
@@ -352,10 +356,7 @@ def avg_smooth(x, d: int) -> np.ndarray:
     _check_range("window size", d, _COUNT)
     if d == 1:
         return x.copy()
-    # A reach past the grid's side covers the whole axis either way; capped
-    # there, the summed-area table stays the grid's size whatever d is.
-    side = max(x.shape[1:])
-    before, after = (min(reach, side) for reach in _window_reach(d))
+    before, after = _window_reach(d, max(x.shape[1:]))
     out = _box_sum(x, before, after)
     out /= _window_counts(*x.shape[1:], before, after)
     return out
@@ -367,8 +368,7 @@ def avg_smooth_backward(grad_out, d: int) -> np.ndarray:
     _check_range("window size", d, _COUNT)
     if d == 1:
         return grad_out.copy()
-    side = max(grad_out.shape[1:])  # capped as in avg_smooth
-    before, after = (min(reach, side) for reach in _window_reach(d))
+    before, after = _window_reach(d, max(grad_out.shape[1:]))
     counts = _window_counts(*grad_out.shape[1:], before, after)
     # Input pixel u feeds output y whenever u is inside y's window, i.e.
     # y in [u-after, u+before]: the reflected window.

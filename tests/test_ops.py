@@ -395,30 +395,40 @@ def assert_same_bytes(actual, expected, message):
 @pytest.mark.parametrize("cin, cout", [(2, 14), (14, 14), (14, 28), (28, 28)])
 def test_conv2d_backward_input_is_byte_identical_on_pipeline_layers(cin, cout):
     # The 64x64 layers training runs, at every branch dilation.  Bytes, unlike
-    # assert_array_equal, also tell -0 from +0.
+    # assert_array_equal, also tell -0 from +0.  Every tap is kept there, so
+    # the kernel gradient is one whole-image GEMM over all nine taps.
     rng = np.random.default_rng(1000 + 10 * cin + cout)
     for dilation in (1, 2, 4, 8, 16):
         x = rng.normal(size=(cin, 64, 64))
         kernels = rng.normal(size=(cout, cin, 3, 3))
         g = rng.normal(size=(cout, 64, 64))
-        grad_x, _, _ = conv2d_backward(g, x, kernels, dilation=dilation)
+        grad_x, grad_k, _ = conv2d_backward(g, x, kernels, dilation=dilation)
         assert_same_bytes(grad_x, conv2d_backward_input_reference(g, kernels, dilation),
                           f"{cin}->{cout} dilation {dilation}")
+        padded = np.pad(x, ((0, 0), (dilation, dilation), (dilation, dilation)))
+        windows = dilated_windows_reference(padded, 3, 3, dilation, 0, 64)
+        assert_same_bytes(grad_k, (g.reshape(cout, -1) @ windows.T).reshape(kernels.shape),
+                          f"kernels {cin}->{cout} dilation {dilation}")
 
 
 @pytest.mark.parametrize("height, width", [(3, 17), (17, 3), (6, 2), (2, 6), (9, 1), (1, 9)])
 @pytest.mark.parametrize("k", [3, 5])
 def test_conv2d_backward_input_is_byte_identical_on_narrow_grids(height, width, k):
     # Column offsets of W-1 leave one source column in range, so every other
-    # one is a wrap column; offsets of W or more drop the tap.
+    # one is a wrap column; offsets of W or more drop the tap, and its kernel
+    # gradient is exactly +0.
     rng = np.random.default_rng(10 * height + width + k)
+    reach = abs(np.arange(k) - (k - 1) // 2)
     for dilation in range(1, 19):
         x = rng.normal(size=(2, height, width))
         kernels = rng.normal(size=(3, 2, k, k))
         g = rng.normal(size=(3, height, width))
-        grad_x, _, _ = conv2d_backward(g, x, kernels, dilation=dilation)
+        grad_x, grad_k, _ = conv2d_backward(g, x, kernels, dilation=dilation)
         assert_same_bytes(grad_x, conv2d_backward_input_reference(g, kernels, dilation),
                           f"{height}x{width} k {k} dilation {dilation}")
+        skipped = (reach[:, None] * dilation >= height) | (reach[None, :] * dilation >= width)
+        assert_same_bytes(grad_k[:, :, skipped], np.zeros((3, 2, skipped.sum())),
+                          f"skipped taps {height}x{width} k {k} dilation {dilation}")
 
 
 @pytest.mark.parametrize("channels, dilation", [(28, 16), (14, 2)])
@@ -437,6 +447,34 @@ def test_conv2d_backward_peak_memory_stays_near_one_window_matrix(channels, dila
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * im2col_bytes, peak / im2col_bytes
+
+
+_RATE_OPS = {
+    "conv2d": lambda x, kernels, d: conv2d(x, kernels, np.zeros(3), dilation=d),
+    "conv2d_backward": lambda x, kernels, d: conv2d_backward(x[::-1], x, kernels, dilation=d),
+    "avg_smooth": lambda x, kernels, d: avg_smooth(x, d),
+    "avg_smooth_backward": lambda x, kernels, d: avg_smooth_backward(x, d),
+}
+
+
+@pytest.mark.parametrize("name", _RATE_OPS)
+def test_rates_past_the_grid_cost_what_the_grid_does(name):
+    # On 8x8 a rate of 32 already reaches past the grid, so 2**40 reads the
+    # same taps and windows: same bytes, and nothing sized by the rate.
+    op = _RATE_OPS[name]
+    rng = np.random.default_rng(40)
+    x, kernels = rng.normal(size=(3, 8, 8)), rng.normal(size=(3, 3, 3, 3))
+    near = op(x, kernels, 32)
+    tracemalloc.start()
+    try:
+        far = op(x, kernels, 2**40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    for got, want in zip(far if isinstance(far, tuple) else (far,),
+                         near if isinstance(near, tuple) else (near,)):
+        assert_same_bytes(got, want, name)
+    assert peak < 64 * 1024, peak
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +544,8 @@ def test_avg_smooth_outputs_share_no_memory_with_the_cached_counts():
     x, g = rng.normal(size=(3, 9, 8)), rng.normal(size=(3, 9, 8))
     outs = [avg_smooth(x, 4), avg_smooth(x, 4), avg_smooth_backward(g, 4),
             avg_smooth_backward(g, 4)]
-    counts = ops._window_counts(9, 8, *ops._window_reach(4))
-    assert ops._window_counts(9, 8, *ops._window_reach(4)) is counts
+    counts = ops._window_counts(9, 8, *ops._window_reach(4, 9))
+    assert ops._window_counts(9, 8, *ops._window_reach(4, 9)) is counts
     assert not counts.flags.writeable
     npt.assert_array_equal(outs[0], outs[1])
     npt.assert_array_equal(outs[2], outs[3])

@@ -19,6 +19,7 @@ from icefusion.network import (
 )
 from icefusion.rng import SeededRng
 from icefusion.scenes import Scene, SceneConfig, generate
+from icefusion.storage import load_checkpoint, save_checkpoint
 from icefusion.training import (
     NATIVE_GRID,
     UPSAMPLED_GRID,
@@ -315,6 +316,30 @@ def test_train_is_bit_deterministic():
     assert runs[0][0] == runs[1][0]
     for name in runs[0][1]:
         npt.assert_array_equal(runs[0][1][name], runs[1][1][name], err_msg=name)
+
+
+def test_train_with_a_rate_past_the_grid_matches_any_rate_past_it(tmp_path):
+    # On 16x16 a rate of 64 and one of 2**40 both cap their reach at the
+    # grid: every op reads the same taps and windows, so the runs agree bit
+    # for bit and neither allocates with its rate.
+    def array_bytes(net):  # by position: the branch names carry the rate
+        return [value.tobytes() for _, value in named_parameters(net) + named_state(net)]
+
+    scenes = training_scenes(n=2)
+    cfg = TrainConfig(learning_rate=0.05, epochs=2, seed=42)
+    runs = []
+    for rates in ((2, 4, 8, 64), (2, 4, 8, 2**40)):
+        config = ModelConfig.for_variant("small", mwr_factor=4, dilation_rates=rates)
+        runs.append(train(build(config, SeededRng(7)), scenes, cfg))
+    (near, near_history), (far, far_history) = runs
+    assert far_history == near_history
+    assert array_bytes(far) == array_bytes(near)
+
+    path = tmp_path / "far.ckpt"
+    save_checkpoint(far, path)
+    loaded = load_checkpoint(path)
+    assert loaded.config == far.config
+    assert array_bytes(loaded) == array_bytes(far)
 
 
 def test_train_separable_scenes_reach_low_loss():
