@@ -383,8 +383,7 @@ def _blas_thread_limit():
     """OpenBLAS's ``openblas_set_num_threads_local`` in the library numpy loaded, or None.
 
     numpy's wheels bundle their OpenBLAS in ``numpy.libs``; loading it again
-    by path returns the copy numpy already uses.  scipy bundles a second,
-    32-bit-integer OpenBLAS, which numpy's ``matmul`` never calls.
+    by path returns the copy numpy already uses; the package loads no other BLAS.
     """
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):

@@ -11,13 +11,15 @@ Each scene is a binary ice/water map plus two co-registered instruments:
   being pure noise.
 
 Every emitted channel is standardized to zero mean and unit variance over
-its own grid, so downstream spread estimates start from a known scale.
+its own grid, so downstream spread estimates start from a known scale.  The
+label blurs noise with scipy's reflecting Gaussian as one numpy matrix per axis.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import _COUNT, _SEED, ConfigurationError, DimensionError, _check_range
 from .rng import SeededRng
@@ -35,15 +37,15 @@ _SAR_CONTRAST = (2.0, 1.2)
 _SAR_EDGE_WEIGHT = (1.0, 0.8)
 
 # Each numeric field's range, as errors._check_range reads it.  The bounds
-# stop a value before numpy or scipy fail on it, far past what the pipeline
-# runs: 128x128 grids of 14 channels (a 2048x2048 float64 channel is 32 MiB);
-# a blob_scale past any grid's correlation length (the Gaussian kernel is
-# 8 * blob_scale + 1 taps wide); an mwr_noise or edge_amplitude at which the
-# class signal is a millionth of the term it scales (from about 1e154 an mwr
-# channel's variance overflows to inf, and near 1e308 it comes out NaN).
+# stop a value before numpy fails on it, far past what the pipeline runs:
+# 128x128 grids of 14 channels (a 2048x2048 float64 channel is 32 MiB; a
+# gradient needs two pixels a side); a blob_scale past any grid's correlation
+# length (the kernel is 8 * blob_scale + 1 taps wide); an mwr_noise or
+# edge_amplitude at which the class signal is a millionth of the term it scales
+# (from about 1e154 an mwr channel's variance overflows to inf, near 1e308 NaN).
 _RANGES = {
-    "height": (int, "[]", 1, 2048),
-    "width": (int, "[]", 1, 2048),
+    "height": (int, "[]", 2, 2048),
+    "width": (int, "[]", 2, 2048),
     "mwr_factor": (int, "[]", 1, 2048),
     "mwr_channels": (int, "[]", 1, 256),
     "sar_ambiguity": (float, "[]", 0.0, 1.0),
@@ -116,6 +118,22 @@ def _informative_gains(count: int) -> np.ndarray:
     return magnitudes * signs
 
 
+def _blur_matrix(size: int, sigma: float) -> np.ndarray:
+    """scipy's ``_gaussian_kernel1d`` as a size x size matrix under half-sample reflection."""
+    radius = int(4.0 * sigma + 0.5)
+    if radius == 0:
+        return np.eye(size)
+    taps = np.arange(-radius, radius + 1)
+    weights = np.exp(-0.5 / (sigma * sigma) * taps**2)
+    folded = np.bincount(taps % (2 * size), weights / weights.sum(), minlength=2 * size)
+    # Reflection has period 2 * size, so entry [i, k] sums the taps folded onto
+    # offsets k - i (a Toeplitz matrix) and -1 - k - i (a Hankel one).  Windows
+    # over the offsets build both; a negative offset indexes from the end.
+    lags = np.arange(1 - size, size)
+    return (sliding_window_view(folded[lags], size)[::-1]
+            + sliding_window_view(folded[-size - lags], size))
+
+
 def generate(cfg: SceneConfig) -> Scene:
     """Synthesize one scene deterministically from its config.
 
@@ -123,14 +141,11 @@ def generate(cfg: SceneConfig) -> Scene:
     fraction is balanced and ``blob_scale`` sets the correlation length of
     the regions.
     """
-    # Imported here so that only scene synthesis loads scipy (about 20 MB).
-    from scipy.ndimage import gaussian_filter
-
     rng = SeededRng(cfg.seed)
     height, width = cfg.height, cfg.width
 
     noise = rng.derive(_STREAM_LABEL).normal((height, width))
-    field = gaussian_filter(noise, sigma=cfg.blob_scale, mode="reflect")
+    field = _blur_matrix(height, cfg.blob_scale) @ noise @ _blur_matrix(width, cfg.blob_scale).T
     label2d = (field > 0.0).astype(np.float64)
     label = label2d[None]
 

@@ -169,15 +169,18 @@ def test_train_defaults_match_model_and_train_config(tmp_path, monkeypatch):
 
 
 # Runs in a fresh interpreter, so no test run before it has loaded scipy.
-NO_SCIPY_UNTIL_SCENES = """
-import sys
+NO_SCIPY = """
+import sys, tempfile
 import numpy as np
+
+def assert_no_scipy(step):
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    assert loaded == [], (step, loaded)
+
 from icefusion import (ModelConfig, Scene, SceneConfig, SeededRng, analyze, backward,
                        bce_loss, build, collect_mixing_stats, forward, generate, sgd_step)
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
+from icefusion import cli
+assert_no_scipy("import")
 rng = np.random.default_rng(0)
 scene = Scene(sar=rng.normal(size=(2, 16, 16)), mwr=rng.normal(size=(14, 4, 4)),
               label=(rng.random((1, 16, 16)) < 0.5).astype(np.float64))
@@ -185,17 +188,22 @@ net = build(ModelConfig.for_variant("small", mwr_factor=4), SeededRng(1))
 fp = forward(net, scene.sar, scene.mwr, mode="train", rng=SeededRng(2), keep_cache=True)
 _, grad_logit = bce_loss(fp.prob, scene.label)
 sgd_step(net, backward(net, fp.cache, grad_logit), 0.05)
+assert_no_scipy("train step")
 analyze(net, collect_mixing_stats(net, [scene]))
-assert scipy_modules() == [], scipy_modules()
+assert_no_scipy("analyze")
 generate(SceneConfig(height=16, width=16, mwr_factor=4, seed=3))
-assert "scipy.ndimage" in sys.modules, scipy_modules()
+assert_no_scipy("generate")
+with tempfile.TemporaryDirectory() as tmp:
+    assert cli.main(["gen-data", "--out", tmp + "/data", "--scenes", "2", "--height", "16",
+                     "--width", "16", "--mwr-factor", "4"]) == 0
+assert_no_scipy("gen-data")
 """
 
 
-def test_only_scene_synthesis_loads_scipy():
+def test_the_package_never_loads_scipy():
     src = str(Path(icefusion.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", NO_SCIPY_UNTIL_SCENES], env=env,
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -283,8 +283,20 @@ def test_gen_data_refuses_a_huge_grid_or_channel_count(capsys, tmp_path, extra):
     # Refused at the config, before numpy is asked for the arrays.
     code, out, err = run(capsys, "gen-data", "--out", str(tmp_path / "d"), "--scenes", "1",
                          *extra)
+    low = 2 if "--height" in extra else 1
     assert code == 2 and out == "" and err.count("\n") == 1
-    assert err.startswith("E_CONFIG:") and "must be an integer in [1, " in err
+    assert err.startswith("E_CONFIG:") and f"must be an integer in [{low}, " in err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("height, width", [(1, 8), (1, 1), (8, 1)])
+def test_gen_data_refuses_a_one_pixel_side(capsys, tmp_path, height, width):
+    # The label's edge map takes np.gradient, which needs two pixels a side;
+    # a one-pixel side once passed the config and died there with a traceback.
+    code, out, err = run(capsys, "gen-data", "--out", str(tmp_path / "d"), "--scenes", "1",
+                         "--height", str(height), "--width", str(width), "--mwr-factor", "1")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("E_CONFIG:") and "must be an integer in [2, 2048]" in err
     assert not (tmp_path / "d").exists()
 
 

@@ -5,10 +5,9 @@ Every module (except the package root, ``__main__`` and ``version``) declares
 names it defines or imports.  No module holds a memo that can grow without
 bound: every ``functools.lru_cache`` names an integer ``maxsize``, and
 ``functools.cache`` decorates only functions that take no arguments.  The
-only runtime dependencies are numpy and scipy: every module imports only
-the standard library, numpy and the package itself at module level, and
-scipy only inside a function of a module in ``SCIPY_MODULES`` (scene
-synthesis), so importing the package never loads scipy.  A module reaches
+only runtime dependency is numpy: every module imports only the standard
+library, numpy and the package itself, anywhere in its source, so nothing
+the package runs loads scipy.  A module reaches
 another's private names only through the pinned ``PRIVATE_ALLOWLIST``.  Only
 the modules in ``TYPE_TEST_MODULES`` test a value with ``_is_int`` or
 ``_is_real``; every other argument check goes through ``_check_range`` and a
@@ -25,8 +24,6 @@ EXEMPT = {"__init__", "__main__", "version"}
 MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem not in EXEMPT)
 ALL_MODULES = sorted(path.stem for path in SRC.glob("*.py"))
 RUNTIME_PACKAGES = set(sys.stdlib_module_names) | {"numpy", SRC.name}
-# Modules that may import scipy, and only inside a function.
-SCIPY_MODULES = {"scenes"}
 # Every private name one package module uses from another, as module.name.
 PRIVATE_ALLOWLIST = {
     "errors._COUNT",
@@ -96,15 +93,11 @@ def defined_names(tree):
     return names
 
 
-def foreign_imports(tree, lazy_scipy=False):
+def foreign_imports(tree):
     """Lines importing a top-level package outside ``RUNTIME_PACKAGES``, anywhere in the module.
 
-    Relative imports are the package's own.  With ``lazy_scipy``, scipy
-    imports inside a function pass; those at module level never do.
+    Relative imports are the package's own.
     """
-    in_function = {id(node) for fn in ast.walk(tree)
-                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-                   for node in ast.walk(fn)}
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -113,9 +106,7 @@ def foreign_imports(tree, lazy_scipy=False):
             roots = [node.module.split(".")[0]]
         else:
             continue
-        lazy = lazy_scipy and id(node) in in_function
-        found += [(node.lineno, root) for root in roots
-                  if root not in RUNTIME_PACKAGES and not (lazy and root == "scipy")]
+        found += [(node.lineno, root) for root in roots if root not in RUNTIME_PACKAGES]
     return [f"line {line}: {root}" for line, root in sorted(found)]
 
 
@@ -203,7 +194,7 @@ def test_unbounded_memos_are_caught():
 
 @pytest.mark.parametrize("module", ALL_MODULES)
 def test_module_imports_only_stdlib_numpy_and_scipy(module):
-    foreign = foreign_imports(parse(module), lazy_scipy=module in SCIPY_MODULES)
+    foreign = foreign_imports(parse(module))
     assert not foreign, f"{module}.py imports packages outside the runtime dependencies: {foreign}"
 
 
@@ -225,10 +216,6 @@ def test_foreign_imports_are_caught():
     assert foreign_imports(tree) == [
         "line 3: scipy", "line 6: pandas", "line 8: matplotlib", "line 9: sklearn",
         "line 10: yaml", "line 12: scipy", "line 14: scipy", "line 16: scipy"]
-    # Where scipy may load lazily, only its imports at module level are caught.
-    assert foreign_imports(tree, lazy_scipy=True) == [
-        "line 3: scipy", "line 6: pandas", "line 8: matplotlib", "line 9: sklearn",
-        "line 10: yaml", "line 14: scipy", "line 16: scipy"]
 
 
 def is_private(name):

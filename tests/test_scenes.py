@@ -6,7 +6,8 @@ import numpy.testing as npt
 import pytest
 
 from icefusion.errors import ConfigurationError, DimensionError
-from icefusion.scenes import Scene, SceneConfig, generate, ice_fraction_coarse
+from icefusion.rng import SeededRng
+from icefusion.scenes import _STREAM_LABEL, SceneConfig, _blur_matrix, generate, ice_fraction_coarse
 
 from helpers import apply_threshold, correlation, fit_threshold
 
@@ -56,6 +57,40 @@ def test_fraction_validation():
     for bad in (2.0, True):
         with pytest.raises(ConfigurationError):
             ice_fraction_coarse(np.zeros((1, 4, 4)), bad)
+
+
+# ---------------------------------------------------------------------------
+# the label's Gaussian blur, against scipy as the oracle
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 130), (2, 2), (3, 1), (8, 8), (13, 37),
+                                   (16, 16), (64, 64), (127, 5), (128, 128), (130, 130)])
+@pytest.mark.parametrize("sigma", [1e-200, 0.1, 0.5, 3.0, 12.0, 40.0, 1e3])
+def test_blur_matrices_match_scipy_gaussian_filter(shape, sigma):
+    # scipy is only the oracle here: scene synthesis runs on numpy alone.
+    from scipy.ndimage import gaussian_filter
+
+    x = np.random.default_rng(shape[0] * 1000 + shape[1]).normal(size=shape)
+    field = _blur_matrix(shape[0], sigma) @ x @ _blur_matrix(shape[1], sigma).T
+    if int(4.0 * sigma + 0.5) == 0:
+        # scipy skips a sigma <= 1e-15 and runs a one-tap kernel up to 0.125.
+        assert field.tobytes() == x.tobytes()
+    want = gaussian_filter(x, sigma=sigma, mode="reflect")
+    assert np.abs(field - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("grid", [(64, 8), (128, 8), (32, 8), (16, 4), (8, 4)])
+def test_generate_labels_match_a_scipy_blurred_reference(grid):
+    # Only the sign of the blurred field is read, so the label, and with it
+    # every other array of the scene, keeps scipy's bytes.
+    from scipy.ndimage import gaussian_filter
+
+    side, factor = grid
+    for seed in range(200):
+        cfg = SceneConfig(height=side, width=side, mwr_factor=factor, seed=seed)
+        noise = SeededRng(seed).derive(_STREAM_LABEL).normal((side, side))
+        want = gaussian_filter(noise, sigma=cfg.blob_scale, mode="reflect") > 0.0
+        assert generate(cfg).label.tobytes() == want[None].astype(np.float64).tobytes(), seed
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +174,11 @@ def test_grid_channel_count_and_seed_bounds():
     largest = SceneConfig(height=2048, width=2048, mwr_factor=2048, mwr_channels=256,
                           seed=2**64 - 1)
     assert (largest.height, largest.mwr_channels) == (2048, 256)
+    smallest = generate(SceneConfig(height=2, width=2, mwr_factor=1, mwr_channels=1))
+    assert smallest.sar.shape == (2, 2, 2) and np.isfinite(smallest.sar).all()
+    # A side needs two pixels for the label's gradient.
     for bad in ({"height": 10**6, "width": 10**6}, {"height": 2064}, {"width": 2064},
+                {"height": 1, "mwr_factor": 1}, {"width": 1, "mwr_factor": 1},
                 {"mwr_factor": 4096, "height": 4096, "width": 4096}, {"mwr_channels": 257},
                 {"mwr_channels": 10**8}, {"seed": 2**64}, {"seed": -1}):
         with pytest.raises(ConfigurationError, match=r"must be an integer in \[\d+, \d+[\])]"):
