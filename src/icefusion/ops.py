@@ -5,9 +5,9 @@ layout, a single scene's [C, H, W].  They never write to their inputs.
 ``batch_norm`` updates the running statistics on its state object in train
 mode.  ``dropout`` also returns its draw, as one read-only boolean keep mask.
 Probe-sized masks are memoized, so finite-difference probes replay them;
-training draws are never held, and eval mode clears nothing.  Each backward
-companion is the exact chain-rule transpose of its forward map, which the
-finite-difference suite verifies.
+training draws are never held.  Each backward companion is the exact
+chain-rule transpose of its forward map, which the finite-difference suite
+verifies.
 
 ``conv2d`` builds its im2col window matrix one band of whole output rows at a
 time instead of one whole-image matrix (16-32 MB at 128x128).  Each band's
@@ -131,6 +131,9 @@ class _ConvPlan:
 
 @functools.lru_cache(maxsize=64)
 def _conv_plan(cout: int, cin: int, k: int, dilation: int, height: int, width: int) -> _ConvPlan:
+    if 0 in (cout, cin, height, width):
+        raise DimensionError(f"a convolution needs a channel and a pixel on each side, got "
+                             f"{cin} -> {cout} channels on a {height}x{width} grid")
     rows, cols = _kept_taps(k, dilation, height), _kept_taps(k, dilation, width)
     ky, kx = rows.stop - rows.start, cols.stop - cols.start
     band = max(1, _BAND_MACS // (cout * cin * ky * kx * width))
@@ -626,7 +629,7 @@ def dropout(x, rate: float, rng: SeededRng | None, mode: str = "train"):
     Train mode needs a :class:`SeededRng`.  The mask is read-only.  A
     probe-sized one (at most 4,096 elements) is memoized, 12 at most, and
     replayed for an equal (rng, shape, rate); a training step's is never
-    held once the call returns.  Eval mode clears nothing.
+    held once the call returns.
     """
     x = np.asarray(x, dtype=np.float64)
     _check_range("dropout rate", rate, _RATE)

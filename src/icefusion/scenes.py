@@ -152,7 +152,6 @@ def generate(cfg: SceneConfig) -> Scene:
     fraction = ice_fraction_coarse(label, cfg.mwr_factor)[0]
     signal = 2.0 * fraction - 1.0
     n_informative = max(1, round(cfg.mwr_informative_fraction * cfg.mwr_channels))
-    n_informative = min(n_informative, cfg.mwr_channels)
     gains = _informative_gains(n_informative)
 
     coarse_shape = fraction.shape

@@ -3,9 +3,12 @@
 Array-bearing files share one container: a single JSON header line followed
 by raw little-endian float64 blocks.  The header records every array's name,
 shape and byte offset plus the payload length and SHA-256, so a reader can
-reject truncated or corrupted files before reconstructing anything.  All
-writes go through a temp-file-then-rename so no partially written file is
-ever observable under the target name.
+reject truncated or corrupted files before reconstructing anything.  A
+reader derives that table from the header's config: any other table is a
+``FormatError`` (E_FORMAT), and a payload whose length or digest disagrees
+with the header an ``IntegrityError`` (E_INTEGRITY).  All writes go through
+a temp-file-then-rename so no partially written file is ever observable
+under the target name.
 
 Reports and comparisons are plain JSON (numbers serialized via ``repr`` and
 therefore lossless); the CSV export is a one-way rendering for spreadsheet
@@ -14,6 +17,7 @@ use and cannot be read back.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -72,7 +76,6 @@ MANIFEST_NAME = "manifest.json"
 
 
 def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    path = Path(path)
     tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -98,11 +101,16 @@ def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def sha256_file(path) -> str:
+def _read_bytes(path) -> bytes:
+    """The bytes of ``path``: the one way the package reads a file."""
     try:
-        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        return Path(path).read_bytes()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
+
+
+def sha256_file(path) -> str:
+    return hashlib.sha256(_read_bytes(path)).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +121,12 @@ def _envelope(schema: str, tool_version: str = __version__) -> dict:
     return {"schema": schema, "format_version": FORMAT_VERSION, "tool_version": tool_version}
 
 
-def _check_envelope(doc, schema: str, path) -> None:
-    """Refuse anything but a JSON object of ``schema`` at this format version."""
+def _parse(text: bytes, schema: str, path) -> dict:
+    """``text`` as UTF-8 JSON: an object of ``schema`` at this format version, or refused."""
+    try:
+        doc = json.loads(text.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise FormatError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{path} does not hold a JSON object")
     if doc.get("schema") != schema:
@@ -124,16 +136,6 @@ def _check_envelope(doc, schema: str, path) -> None:
             f"{path} uses format version {doc.get('format_version')!r}; "
             f"this build reads version {FORMAT_VERSION}"
         )
-
-
-def _read_document(path: Path, schema: str) -> dict:
-    try:
-        doc = json.loads(path.read_text("utf-8"))
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise FormatError(f"{path} is not valid JSON: {exc}") from exc
-    _check_envelope(doc, schema, path)
     return doc
 
 
@@ -165,57 +167,46 @@ def _write_container(path, schema: str, body: dict,
     _atomic_write_bytes(Path(path), line + b"\n" + payload)
 
 
-def _read_container(path, schema: str) -> tuple[dict, dict[str, np.ndarray]]:
-    path = Path(path)
-    try:
-        blob = path.read_bytes()
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
+def _same_json(got, want) -> bool:
+    """Whether ``got`` is ``want`` as JSON writes it, so 1.0 and true are not 1."""
+    return got == want and json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def _read_container(blob: bytes, path, schema: str, contents) -> tuple[object, dict]:
+    """The config and arrays by name of container ``blob``, read from ``path``.
+
+    ``contents(header)`` gives the config and the ``(name, shape)`` of each
+    array the file's kind holds, in file order and end to end; the header's
+    array table and payload length must be exactly these.
+    """
     newline = blob.find(b"\n")
     if newline < 0:
         raise FormatError(f"{path} has no header line")
-    try:
-        header = json.loads(blob[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise FormatError(f"{path} has a malformed header: {exc}") from exc
-    _check_envelope(header, schema, path)
-    payload = blob[newline + 1:]
-    if len(payload) != header.get("payload_bytes"):
-        raise IntegrityError(
-            f"{path} payload is {len(payload)} bytes, header promises "
-            f"{header.get('payload_bytes')}"
-        )
+    header = _parse(blob[:newline], schema, path)
+    config, layout = contents(header)
+    table, length = [], 0
+    for name, shape in layout:
+        table.append({"name": name, "offset": length, "shape": list(shape)})
+        length += math.prod(shape) * 8
+    records = header["arrays"] if isinstance(header.get("arrays"), list) else []
+    for i, (got, want) in enumerate(itertools.zip_longest(records, table, fillvalue=())):
+        if not _same_json(got, want):  # JSON holds no tuple, so () is no record
+            implied = json.dumps(want) if want else "absent"
+            raise FormatError(f"{path}: array record {i} should be {implied} by its config")
+    if not _same_json(header.get("payload_bytes"), length):
+        raise FormatError(f"{path} header's payload_bytes is not {length}, its arrays' length")
+    payload = memoryview(blob)[newline + 1:]
+    if len(payload) != length:
+        raise IntegrityError(f"{path} payload is {len(payload)} bytes, header promises {length}")
     if hashlib.sha256(payload).hexdigest() != header.get("payload_sha256"):
         raise IntegrityError(f"{path} payload digest mismatch")
-    records = header.get("arrays")
-    if not isinstance(records, list):
-        raise FormatError(f"{path} header has no list of arrays")
     arrays = {}
-    for record in records:
-        _check_array_record(record, path)
-        shape = tuple(record["shape"])
-        start = record["offset"]
-        stop = start + math.prod(shape) * 8
-        if stop > len(payload):
-            raise IntegrityError(f"{path} array {record['name']!r} overruns the payload")
-        flat = np.frombuffer(payload[start:stop], dtype="<f8")
-        try:
-            arrays[record["name"]] = flat.reshape(shape).astype(np.float64, copy=True)
-        except ValueError as exc:  # an empty array with a dimension numpy cannot hold
-            raise FormatError(f"{path} array {record['name']!r} has shape {shape}: {exc}") from exc
+    for (name, shape), record in zip(layout, table):
+        flat = np.frombuffer(payload, "<f8", math.prod(shape), record["offset"])
         if not np.isfinite(flat).all():
-            raise FormatError(f"{path} array {record['name']!r} holds a NaN or infinite value")
-    return header, arrays
-
-
-def _check_array_record(record, path) -> None:
-    """Refuse an array record that is not {name: str, shape: [count...], offset: count}."""
-    if not (isinstance(record, dict)
-            and isinstance(record.get("name"), str)
-            and isinstance(record.get("shape"), list)
-            and all(_is_int(n) and n >= 0 for n in record["shape"])
-            and _is_int(record.get("offset")) and record["offset"] >= 0):
-        raise FormatError(f"{path} header holds a malformed array record {record!r}")
+            raise FormatError(f"{path} array {name!r} holds a NaN or infinite value")
+        arrays[name] = flat.reshape(shape).astype(np.float64)
+    return config, arrays
 
 
 # ---------------------------------------------------------------------------
@@ -234,29 +225,22 @@ def save_checkpoint(net: FusionNetwork, path, train_seed: int | None = None,
     _write_container(path, _CHECKPOINT_SCHEMA, body, arrays)
 
 
-def load_checkpoint(path) -> FusionNetwork:
-    """Rebuild a network from a checkpoint, bit-for-bit.
-
-    Raises rather than returning a partial network when anything is missing
-    or damaged.
-    """
-    header, arrays = _read_container(path, _CHECKPOINT_SCHEMA)
+def _checkpoint_contents(header: dict) -> tuple[ModelConfig, list]:
+    """A checkpoint's model config and its arrays, from a dry walk that allocates none."""
     try:
         config = ModelConfig.from_dict(header.get("model_config"))
     except ConfigurationError as exc:
         raise FormatError(f"checkpoint is missing a valid model config: {exc}") from exc
+    layout = []
+    _assemble(config, lambda name, shape, init: layout.append((name, shape)))
+    return config, layout
 
-    def stored(name, shape, init):
-        if name not in arrays:
-            raise IntegrityError(f"checkpoint lacks array {name!r}")
-        value = arrays[name]
-        if value.shape != shape:
-            raise IntegrityError(
-                f"checkpoint array {name!r} has shape {value.shape}, expected {shape}"
-            )
-        return value
 
-    return _assemble(config, stored)
+def load_checkpoint(path) -> FusionNetwork:
+    """Rebuild a network from a checkpoint, bit-for-bit, or raise: never a partial network."""
+    config, arrays = _read_container(_read_bytes(path), path, _CHECKPOINT_SCHEMA,
+                                     _checkpoint_contents)
+    return _assemble(config, lambda name, shape, init: arrays[name])
 
 
 # ---------------------------------------------------------------------------
@@ -268,21 +252,21 @@ def save_scene(scene: Scene, cfg: SceneConfig, path) -> None:
     _write_container(path, _SCENE_SCHEMA, {"scene_config": asdict(cfg)}, arrays)
 
 
-def load_scene(path) -> tuple[Scene, SceneConfig]:
-    header, arrays = _read_container(path, _SCENE_SCHEMA)
+def _scene_contents(header: dict) -> tuple[SceneConfig, list]:
+    """A scene file's config and the three arrays it implies."""
     try:
         cfg = SceneConfig(**header["scene_config"])
-        scene = Scene(sar=arrays["sar"], mwr=arrays["mwr"], label=arrays["label"])
     except (KeyError, TypeError, ConfigurationError) as exc:
         raise FormatError(f"scene file is incomplete: {exc}") from exc
     height, width, f = cfg.height, cfg.width, cfg.mwr_factor
-    for name, shape in (("sar", (SAR_CHANNELS, height, width)),
-                        ("mwr", (cfg.mwr_channels, height // f, width // f)),
-                        ("label", (1, height, width))):
-        if arrays[name].shape != shape:
-            raise FormatError(f"scene {path}: {name} has shape {arrays[name].shape}, "
-                              f"its config needs {shape}")
-    return scene, cfg
+    return cfg, [("sar", (SAR_CHANNELS, height, width)),
+                 ("mwr", (cfg.mwr_channels, height // f, width // f)),
+                 ("label", (1, height, width))]
+
+
+def load_scene(path) -> tuple[Scene, SceneConfig]:
+    cfg, arrays = _read_container(_read_bytes(path), path, _SCENE_SCHEMA, _scene_contents)
+    return Scene(**arrays), cfg
 
 
 def _dataset_id(digests: list[str]) -> str:
@@ -312,7 +296,7 @@ def read_manifest(directory) -> dict:
     path = Path(directory)
     if path.is_dir():
         path = path / MANIFEST_NAME
-    return _read_document(path, _MANIFEST_SCHEMA)
+    return _parse(_read_bytes(path), _MANIFEST_SCHEMA, path)
 
 
 def load_dataset(directory) -> tuple[list[Scene], dict]:
@@ -328,10 +312,10 @@ def load_dataset(directory) -> tuple[list[Scene], dict]:
             path, digest = directory / entry["file"], entry["sha256"]
         except (KeyError, TypeError) as exc:
             raise FormatError(f"malformed manifest entry {entry!r}") from exc
-        if sha256_file(path) != digest:
+        blob = _read_bytes(path)
+        if hashlib.sha256(blob).hexdigest() != digest:
             raise IntegrityError(f"scene {path} does not match its manifest digest")
-        scene, _ = load_scene(path)
-        scenes.append(scene)
+        scenes.append(Scene(**_read_container(blob, path, _SCENE_SCHEMA, _scene_contents)[1]))
         digests.append(digest)
     if manifest.get("dataset_id") != _dataset_id(digests):
         raise IntegrityError(f"the manifest in {directory} holds dataset id "
@@ -474,7 +458,7 @@ def read_report(path) -> ReportFile:
     path = Path(path)
     if _is_csv(path):
         raise UsageError("CSV report exports cannot be read back; use the JSON report")
-    doc = _read_document(path, _REPORT_SCHEMA)
+    doc = _parse(_read_bytes(path), _REPORT_SCHEMA, path)
     try:
         report = AnalysisReport(variant=_text(doc["variant"]),
                                 entries=tuple(_entry_from_json(e) for e in doc["entries"]))

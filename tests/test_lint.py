@@ -11,7 +11,8 @@ the package runs loads scipy.  A module reaches
 another's private names only through the pinned ``PRIVATE_ALLOWLIST``.  Only
 the modules in ``TYPE_TEST_MODULES`` test a value with ``_is_int`` or
 ``_is_real``; every other argument check goes through ``_check_range`` and a
-declared range.
+declared range.  Only ``storage._read_bytes`` reads a file and only
+``storage._atomic_write_bytes`` writes one (``FILE_IO``).
 """
 import ast
 import sys
@@ -44,6 +45,9 @@ PRIVATE_ALLOWLIST = {
 # storage's validators of JSON fields, which refuse with FormatError by field.
 TYPE_TEST_MODULES = {"errors", "storage"}
 TYPE_TESTS = {"_is_int", "_is_real"}
+# Each call that reads or writes a file, by name, and the one function that may make it.
+FILE_IO = {**dict.fromkeys(["read_bytes", "read_text", "open"], "storage._read_bytes"),
+           **dict.fromkeys(["fdopen", "write_bytes", "write_text"], "storage._atomic_write_bytes")}
 
 
 def parse(module):
@@ -303,3 +307,45 @@ def test_type_test_names_are_caught():
         "    return errors._is_real(x) or _is_int(x) or _check_range('x', x, SPEC)\n"
     )
     assert type_test_names(tree) == ["_is_int", "_is_real"]
+
+
+def file_io_calls(tree):
+    """``(function, name)`` for each ``FILE_IO`` call, by its innermost function (None at top level)."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in FILE_IO:
+                    found.append((function, name))
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_files_are_read_and_written_through_one_function_each(module):
+    stray = [f"{function}: {name}" for function, name in file_io_calls(parse(module))
+             if f"{module}.{function}" != FILE_IO[name]]
+    assert not stray, f"{module}.py reads or writes files outside storage's two paths: {stray}"
+
+
+def test_file_io_calls_are_caught():
+    tree = ast.parse(
+        "import os\n"
+        "def _read_bytes(path):\n    return path.read_bytes()\n"
+        "def f(path):\n    return open(path).read() + path.read_text()\n"
+        "def g(fd, path):\n"
+        "    def h():\n        path.write_text('x')\n"
+        "    os.fdopen(fd, 'wb').write(path.with_suffix('.x').write_bytes(b''))\n"
+        "data = path.open('rb')\n"
+    )
+    assert file_io_calls(tree) == [
+        ("_read_bytes", "read_bytes"), ("f", "open"), ("f", "read_text"), ("h", "write_text"),
+        ("g", "fdopen"), ("g", "write_bytes"), (None, "open")]

@@ -367,6 +367,15 @@ def test_forward_input_validation():
         forward(net, sar, mwr, mode="train")  # dropout needs an rng
 
 
+@pytest.mark.parametrize("height, width", [(0, 0), (0, 8), (8, 0)])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_forward_refuses_an_empty_grid(height, width, mode):
+    net = small_net(seed=16, mwr_factor=2)
+    sar, mwr = np.zeros((2, height, width)), np.zeros((14, height // 2, width // 2))
+    with pytest.raises(DimensionError):
+        forward(net, sar, mwr, mode=mode, rng=SeededRng(3))
+
+
 # ---------------------------------------------------------------------------
 # backward
 

@@ -123,6 +123,18 @@ def test_conv2d_validation():
         conv2d_backward(np.zeros((1, 4, 4)), x, np.zeros((1, 2, 3, 3)), dilation=True)
 
 
+@pytest.mark.parametrize("x_shape, kernel_shape", [
+    ((1, 0, 5), (1, 1, 3, 3)), ((1, 5, 0), (1, 1, 3, 3)), ((1, 0, 0), (1, 1, 3, 3)),
+    ((0, 5, 5), (1, 0, 3, 3)), ((1, 5, 5), (0, 1, 3, 3))])
+def test_conv_refuses_an_empty_grid_or_channel_axis(x_shape, kernel_shape):
+    # Both directions once died in their band arithmetic or in numpy.
+    x, kernels = np.zeros(x_shape), np.zeros(kernel_shape)
+    with pytest.raises(DimensionError):
+        conv2d(x, kernels, np.zeros(kernel_shape[0]))
+    with pytest.raises(DimensionError):
+        conv2d_backward(np.zeros((kernel_shape[0],) + x_shape[1:]), x, kernels)
+
+
 @pytest.mark.parametrize("shape", [(14, 14, 70, 37), (28, 28, 96, 96), (14, 28, 64, 64),
                                    (28, 28, 40, 37)])
 def test_conv2d_bands_match_one_whole_image_gemm_on_integers(shape):

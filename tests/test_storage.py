@@ -200,18 +200,19 @@ def test_malformed_checkpoint_configs_exit_3(tmp_path, capsys, edit):
 
 def test_checkpoint_config_beyond_its_payload_is_refused_before_building(tmp_path):
     # A consistent config of 10**5-wide groups would allocate about 7 TB; the
-    # load holds the file, its payload and a copy of each array, about 3x its size.
+    # load holds the file and at most a copy of each array, about 2x its size.
     path = tmp_path / "model.ckpt"
     save_checkpoint(build(ModelConfig.for_variant("large"), SeededRng(0)), path)
     wide = ModelConfig.custom(10**5, 10**5, dilation_rates=(2, 4), mwr_channels=10**5)
     rewrite_header(path, model_config=wide.to_dict())
     tracemalloc.start()
     try:
-        with pytest.raises(IntegrityError, match="has shape"):
+        with pytest.raises(FormatError, match="array record 0") as excinfo:
             load_checkpoint(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert type(excinfo.value) is FormatError
     assert peak < 4 * path.stat().st_size
 
 
@@ -241,6 +242,87 @@ def test_container_array_records_are_validated(tmp_path):
         rewrite_header(path, arrays=table)
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+
+def _edit_table(path: Path, edit):
+    """Rewrite a container's array table and payload by ``edit``, resealing length and digest."""
+    blob = path.read_bytes()
+    cut = blob.find(b"\n")
+    header = json.loads(blob[:cut])
+    records, payload = edit(header["arrays"], blob[cut + 1:])
+    header.update(arrays=records, payload_bytes=len(payload),
+                  payload_sha256=hashlib.sha256(payload).hexdigest())
+    path.write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload)
+
+
+def _record(records, name):
+    return next(record for record in records if record["name"] == name)
+
+
+def _named_twice(first, second):
+    """Name ``first`` again, at the offset of ``second``, an array of its shape."""
+    return lambda records, payload: (records + [dict(_record(records, second), name=first)],
+                                     payload)
+
+
+def _foreign_array(records, payload):
+    """Record an array the file's kind does not hold, over 16 added bytes."""
+    return records + [{"name": "extra", "offset": len(payload), "shape": [2]}], payload + bytes(16)
+
+
+def _swapped(first, second):
+    """Swap the offsets of two arrays of one shape."""
+    def edit(records, payload):
+        a, b = _record(records, first), _record(records, second)
+        a["offset"], b["offset"] = b["offset"], a["offset"]
+        return records, payload
+    return edit
+
+
+def _trailing_bytes(records, payload):
+    """Leave 8 payload bytes that no record covers."""
+    return records, payload + bytes(8)
+
+
+def _sealed_container(path: Path):
+    """A valid checkpoint or scene at ``path``, its loader, and two of its arrays of one shape."""
+    if path.suffix == ".ckpt":
+        save_checkpoint(toy_net(), path)
+        return load_checkpoint, ("stem.1.kernels", "branch.2.conv1.kernels")
+    cfg = SceneConfig(height=8, width=8, mwr_factor=1, mwr_channels=1, blob_scale=2.0)
+    save_scene(generate(cfg), cfg, path)
+    return load_scene, ("label", "mwr")
+
+
+@pytest.mark.parametrize("suffix", [".ckpt", ".scene"])
+@pytest.mark.parametrize("fault", ["named twice", "foreign array", "swapped", "trailing bytes"])
+def test_header_tables_other_than_the_config_implies_are_refused(tmp_path, suffix, fault):
+    # Each table lies inside its resealed payload.  Read by the header's own
+    # records, each file would load; twice-named and swapped arrays would hand
+    # one array another's bytes.
+    path = tmp_path / f"f{suffix}"
+    load, (first, second) = _sealed_container(path)
+    edit = {"named twice": _named_twice(first, second), "foreign array": _foreign_array,
+            "swapped": _swapped(first, second), "trailing bytes": _trailing_bytes}[fault]
+    _edit_table(path, edit)
+    with pytest.raises(FormatError) as excinfo:
+        load(path)
+    assert type(excinfo.value) is FormatError
+
+
+def test_analyze_refuses_a_checkpoint_whose_table_swaps_two_arrays(tmp_path, capsys):
+    data = tmp_path / "data"
+    cfg = SceneConfig(height=8, width=8, mwr_factor=2, mwr_channels=2, blob_scale=2.0)
+    save_scene(generate(cfg), cfg, data / "scene-0000.scene")
+    write_manifest(data, ["scene-0000.scene"], generator={}, master_seed=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(toy_net(), path)
+    _edit_table(path, _swapped("stem.1.kernels", "branch.2.conv1.kernels"))
+    code = main(["analyze", "--ckpt", str(path), "--data", str(data),
+                 "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith("E_FORMAT:") and err.count("\n") == 1, err
+    assert "stem.1.kernels" in err and not (tmp_path / "r.json").exists()
 
 
 def test_checkpoint_corruption_is_refused(tmp_path):
