@@ -13,11 +13,15 @@ verifies.
 time instead of one whole-image matrix (16-32 MB at 128x128).  Each band's
 GEMM does at most 14 * 2**16 multiply-adds, under the 10**6 up to which
 OpenBLAS runs an unpacked small-matrix kernel, fastest when the window
-matrix starts on a 64-byte boundary.  So each band's strided view of the
-padded input is copied in one C-level pass into one 64-byte-aligned buffer,
-made once per call.  Kernel taps whose dilated offset reaches past the whole
-grid read only zero padding; both directions leave them out of the window
-matrices and the GEMMs, so no op allocates with the dilation rate.
+matrix starts on a 64-byte boundary.  Equal bands go in groups of up to 512
+KiB of window matrices: one C-level pass copies a group's strided views of
+the padded input into one buffer, made once per call, each band's matrix on
+a 64-byte boundary, and one batched ``np.matmul`` runs the group's GEMMs.
+So a 128x128 layer of one-row bands takes 64 calls, not 128, each of which
+hands off the interpreter lock.  Kernel taps whose dilated offset reaches
+past the whole grid read only zero padding; both directions leave them out
+of the window matrices and the GEMMs, so no op allocates with the dilation
+rate.
 
 ``sigmoid`` takes its exp from libm through ``math.exp``, one element at a
 time: numpy's SIMD ``np.exp`` differs from libm in the last bit for some
@@ -31,12 +35,13 @@ zeroed, and the +0 they add changes no bit, since the gradient never holds -0.
 Geometry that depends only on shapes is worked out once and cached in bounded
 ``functools.lru_cache`` tables, so a call on a shape seen before does only
 array work: the conv plan per (Cout, Cin, k, dilation, H, W) holds the kept
-taps, the row bands and the flat shifts and wrap columns ``conv2d_backward``
-adds through; the window counts of ``avg_smooth`` and the source rows,
-columns and blend weights of bilinear ``upsample`` are cached per grid.
-Cached entries are immutable or read-only, and no public op returns one.  When one band
-covers the whole grid (8x8 and other small grids), ``conv2d`` is a single
-``weights @ windows`` GEMM with no output buffer to fill band by band.
+taps, the row bands and their groups, and the flat shifts and wrap columns
+``conv2d_backward`` adds through; the per-axis window counts of
+``avg_smooth`` and the source rows, columns and blend weights of bilinear
+``upsample`` are cached per axis.  Cached entries are immutable or read-only,
+and no public op returns one.  When one band covers the whole grid (8x8 and
+other small grids), ``conv2d`` is a single ``weights @ windows`` GEMM with no
+output buffer to fill band by band.
 """
 from __future__ import annotations
 
@@ -91,6 +96,15 @@ def _as_float64(x, name: str, ndim: int) -> np.ndarray:
 # then at most 512 KiB for 14 outputs and 256 KiB for 28.
 _BAND_MACS = 14 * 2**16
 
+# Bytes of the window matrices one batched GEMM call takes, a quarter of a
+# core's 2 MiB L2: two 28-output bands at 128 wide, one 14-output band.
+# Each call hands off the interpreter lock to the branch pool's other
+# thread.  On the 2-core Xeon a pooled large 128x128 eval forward made a
+# median 140-170 voluntary context switches, not 1,500, and ran 15 % faster;
+# 1 MiB groups made 110 but ran 6-9 % faster, and 2 MiB ones 50 and no
+# faster than one band per call (BENCH_33.json).
+_GROUP_BYTES = 2**19
+
 
 def _kept_taps(k: int, dilation: int, n: int) -> slice:
     """Taps t of one kernel axis whose offset (t - c) * dilation reaches inside n pixels.
@@ -114,10 +128,16 @@ class _ConvPlan:
 
     ``rows`` and ``cols`` are the kept taps of each axis (see
     :func:`_kept_taps`) and ``bands`` the [y0, y1) output-row ranges of the
-    im2col bands.  ``wrap`` holds, per off-centre kept column tap, its index
-    among the kept columns and the [x0, x1) source columns its offset carries
-    across a row end.  ``scatter`` holds, per kept tap in tap order, the flat
-    ranges :func:`_tap_slices` gives for the offset oy * W + ox.
+    im2col bands.  ``runs`` covers the same rows as (y0, rows, count, per):
+    ``count`` equal bands of ``rows`` rows from y0, whose GEMMs go ``per`` to
+    a call; the equal bands come first, then a short last band alone.  A
+    group's window matrices lie ``slab`` float64s apart (a whole number of
+    64-byte lines), as many as fit ``_GROUP_BYTES`` but at least one.  A
+    single tap's windows are views of the input, so its ``slab`` is 0 and
+    each run is one call.  ``wrap`` holds, per off-centre kept column tap, its
+    index among the kept columns and the [x0, x1) source columns its offset
+    carries across a row end.  ``scatter`` holds, per kept tap in tap order,
+    the flat ranges :func:`_tap_slices` gives for the offset oy * W + ox.
     """
 
     rows: slice
@@ -125,6 +145,8 @@ class _ConvPlan:
     ky: int
     kx: int
     bands: tuple[tuple[int, int], ...]
+    runs: tuple[tuple[int, int, int, int], ...]
+    slab: int
     wrap: tuple[tuple[int, int, int], ...]
     scatter: tuple[tuple[slice, slice], ...]
 
@@ -136,15 +158,21 @@ def _conv_plan(cout: int, cin: int, k: int, dilation: int, height: int, width: i
                              f"{cin} -> {cout} channels on a {height}x{width} grid")
     rows, cols = _kept_taps(k, dilation, height), _kept_taps(k, dilation, width)
     ky, kx = rows.stop - rows.start, cols.stop - cols.start
-    band = max(1, _BAND_MACS // (cout * cin * ky * kx * width))
+    band = min(height, max(1, _BAND_MACS // (cout * cin * ky * kx * width)))
     bands = tuple((y0, min(y0 + band, height)) for y0 in range(0, height, band))
+    full, tail = divmod(height, band)
+    # A band's window matrix takes whole 64-byte lines; a single tap's windows
+    # are views of the input, with nothing to copy or bound.
+    slab = -(-cin * ky * kx * band * width // 8) * 8 if ky * kx > 1 else 0
+    per = min(full, max(1, _GROUP_BYTES // (8 * slab))) if slab else full
+    runs = ((0, band, full, per),) + (((full * band, tail, 1, 1),) if tail else ())
     center = (k - 1) // 2
     offsets = [(t - center) * dilation for t in range(k)]
     wrap = tuple((tx, width - ox, width) if ox > 0 else (tx, 0, -ox)
                  for tx, ox in enumerate(offsets[cols]) if ox)
     scatter = tuple(_tap_slices(oy * width + ox, height * width)
                     for oy in offsets[rows] for ox in offsets[cols])
-    return _ConvPlan(rows, cols, ky, kx, bands, wrap, scatter)
+    return _ConvPlan(rows, cols, ky, kx, bands, runs, slab, wrap, scatter)
 
 
 def _padded(x: np.ndarray, rows: slice, cols: slice, dilation: int) -> np.ndarray:
@@ -164,31 +192,62 @@ def _padded(x: np.ndarray, rows: slice, cols: slice, dilation: int) -> np.ndarra
 
 
 def _dilated_windows(padded: np.ndarray, ky: int, kx: int, dilation: int,
-                     y0: int, y1: int, buffer: np.ndarray | None = None) -> np.ndarray:
+                     y0: int, y1: int) -> np.ndarray:
     """The ky x kx dilated taps at output rows [y0, y1), flattened for matmul (im2col).
 
     ``padded`` comes from :func:`_padded`; returns the
     (Cin * ky * kx, (y1 - y0) * W) window matrix.  The taps are one strided
-    (Cin, ky, kx, rows, W) view of ``padded``, copied in one C-level pass into
-    the head of the flat ``buffer`` if one is given, else by the reshape.  The
-    copy is deliberate: a GEMM on the strided view itself would leave the BLAS
-    path.  With a single tap the rows of the view are already whole image
-    rows, so the reshape is a view of ``padded`` and nothing is copied.
+    (Cin, ky, kx, rows, W) view of ``padded``, copied in one C-level pass by
+    the reshape.  The copy is deliberate: a GEMM on the strided view itself
+    would leave the BLAS path.  With a single tap the rows of the view are
+    already whole image rows, so the reshape is a view of ``padded`` and
+    nothing is copied.
     """
     cin, _, padded_width = padded.shape
     width = padded_width - (kx - 1) * dilation
     plane, row, col = padded.strides
     taps = np.ndarray((cin, ky, kx, y1 - y0, width), np.float64, padded, y0 * row,
                       (plane, dilation * row, dilation * col, row, col))
-    if buffer is not None and ky * kx > 1:
-        win = buffer[:taps.size].reshape(taps.shape)
-        win[...] = taps
-        return win.reshape(cin * ky * kx, (y1 - y0) * width)
     win = taps.reshape(cin * ky * kx, (y1 - y0) * width)
     # One channel with one column tap reshapes to a view of overlapping rows.
     if ky * kx > 1 and not win.flags.c_contiguous:
         win = win.copy()
     return win
+
+
+def _window_groups(padded: np.ndarray, plan: _ConvPlan, dilation: int, out: np.ndarray):
+    """Yields each group's window matrices with the output rows their GEMMs write.
+
+    ``out`` is the (Cout, H, W) output.  Per group of n equal bands of
+    ``plan.runs``, yields the (n, Cin * ky * kx, rows * W) window matrices
+    and the (n, Cout, rows * W) view of the bands' rows of ``out``.  One
+    64-byte-aligned buffer, made once per call, holds a group's matrices in
+    turn, each ``plan.slab`` float64s after the last, and one C-level copy of
+    a slice of the strided tap view (as in :func:`_dilated_windows`) fills
+    it.  The views of a run are made once, so a group costs three slices,
+    the copy and the GEMM call.  A single tap's windows are views of
+    ``padded``: each run is one group and nothing is copied.
+    """
+    cout, _, width = out.shape
+    cin, ky, kx = padded.shape[0], plan.ky, plan.kx
+    plane, row, col = padded.strides
+    raw = np.empty(plan.runs[0][3] * plan.slab + 7)
+    buffer = raw[-raw.ctypes.data % 64 // 8:]  # 64-byte aligned
+    for y0, rows, count, per in plan.runs:
+        # The (count, Cin, ky, kx, rows, W) taps, band b from output row y0 + b * rows.
+        taps = np.ndarray((count, cin, ky, kx, rows, width), np.float64, padded, y0 * row,
+                          (rows * row, plane, dilation * row, dilation * col, row, col))
+        band_outs = out[:, y0:y0 + count * rows].reshape(cout, count, -1).transpose(1, 0, 2)
+        if not plan.slab:  # whole image rows of the unpadded input
+            yield taps.reshape(count, cin, -1), band_outs
+            continue
+        slabs = buffer[:per * plan.slab].reshape(per, plan.slab)[:, :taps[0].size]
+        mats = slabs.reshape(per, -1, rows * width)
+        win = mats.reshape(taps[:per].shape)
+        for i in range(0, count, per):
+            n = min(per, count - i)
+            win[:n] = taps[i:i + n]
+            yield mats[:n], band_outs[i:i + n]
 
 
 def _conv_operands(x, kernels, dilation: int):
@@ -223,9 +282,12 @@ def conv2d(x, kernels, bias, dilation: int = 1) -> np.ndarray:
     (columns) read only padding and are skipped; the input is padded only by
     the reach of the taps kept.  The im2col window matrix is built one band
     of whole output rows at a time, each band's GEMM within ``_BAND_MACS``
-    multiply-adds so that OpenBLAS keeps it on its small-matrix kernel.  Every
-    band's windows go into one 64-byte-aligned buffer, and its GEMM writes
-    its own columns of the output.
+    multiply-adds so that OpenBLAS keeps it on its small-matrix kernel.  The
+    bands go in groups of equal ones (see :class:`_ConvPlan`): one C-level
+    copy puts a group's window matrices, each 64-byte aligned, into one
+    buffer made once per call, and one batched ``np.matmul`` runs their
+    GEMMs, each writing its band's columns of the output.  A grid of one
+    band is a single ``weights @ windows`` GEMM.
     """
     x, kernels, plan, weights = _conv_operands(x, kernels, dilation)
     bias = _as_float64(bias, "bias", 1)
@@ -238,12 +300,9 @@ def conv2d(x, kernels, bias, dilation: int = 1) -> np.ndarray:
     if len(plan.bands) == 1:
         out = weights @ _dilated_windows(padded, ky, kx, dilation, 0, height)
     else:
-        out = np.empty((cout, height * width))
-        raw = np.empty(weights.shape[1] * plan.bands[0][1] * width + 7)
-        buffer = raw[-raw.ctypes.data % 64 // 8:]  # 64-byte aligned
-        for y0, y1 in plan.bands:
-            np.matmul(weights, _dilated_windows(padded, ky, kx, dilation, y0, y1, buffer),
-                      out=out[:, y0 * width:y1 * width])
+        out = np.empty((cout, height, width))
+        for windows, band_out in _window_groups(padded, plan, dilation, out):
+            np.matmul(weights, windows, out=band_out)
     out = out.reshape(cout, height, width)
     out += bias[:, None, None]
     return out
@@ -309,19 +368,27 @@ def _window_reach(d: int, side: int) -> tuple[int, int]:
 
 
 @functools.lru_cache(maxsize=64)
-def _window_counts(height: int, width: int, before: int, after: int) -> np.ndarray:
-    """Per-pixel count of in-bounds pixels under each clamped window [i-before, i+after].
+def _axis_counts(n: int, before: int, after: int) -> np.ndarray:
+    """Count of in-bounds indices under each clamped window [i-before, i+after] of n.
 
     Depends only on the geometry, so each one is built once and kept
-    read-only; callers divide by it and never hand it out.
+    read-only; callers never hand it out.
     """
-    def axis(n: int) -> np.ndarray:
-        idx = np.arange(n)
-        return np.minimum(idx + after, n - 1) - np.maximum(idx - before, 0) + 1
-
-    counts = (axis(height)[:, None] * axis(width)[None, :]).astype(np.float64)
+    idx = np.arange(n)
+    counts = (np.minimum(idx + after, n - 1) - np.maximum(idx - before, 0) + 1).astype(np.float64)
     counts.flags.writeable = False
     return counts
+
+
+def _window_counts(height: int, width: int, before: int, after: int) -> np.ndarray:
+    """Per-pixel count of in-bounds pixels under each clamped window, a fresh grid.
+
+    The product of the two axes' cached counts, formed per call so that no
+    grid-sized table outlives it.  The counts are small integers, so their
+    float64 products are exact.
+    """
+    return np.multiply.outer(_axis_counts(height, before, after),
+                             _axis_counts(width, before, after))
 
 
 def _box_sum(x: np.ndarray, before: int, after: int) -> np.ndarray:

@@ -75,6 +75,29 @@ def dilated_windows_reference(padded, ky, kx, dilation, y0, y1):
     return win.reshape(cin * ky * kx, (y1 - y0) * width)
 
 
+def conv2d_per_band_reference(x, kernels, bias, dilation=1):
+    """Convolution as one GEMM per row band of ``conv2d``'s plan, then the bias.
+
+    Each band's window matrix comes from :func:`dilated_windows_reference`
+    over the kept taps, with the input padded by their reach, and its GEMM
+    writes the band's output columns: the loop ``conv2d`` ran before it
+    batched equal bands into one call.  Every GEMM has the shape ``conv2d``
+    gives it, so the two agree bit for bit.
+    """
+    cout, cin, k, _ = kernels.shape
+    _, height, width = x.shape
+    plan = ops._conv_plan(cout, cin, k, dilation, height, width)
+    ky, kx = plan.ky, plan.kx
+    pad_y, pad_x = ky // 2 * dilation, kx // 2 * dilation
+    padded = np.pad(x, ((0, 0), (pad_y, pad_y), (pad_x, pad_x)))
+    weights = kernels[:, :, plan.rows, plan.cols].reshape(cout, cin * ky * kx)
+    out = np.empty((cout, height * width))
+    for y0, y1 in plan.bands:
+        out[:, y0 * width:y1 * width] = weights @ dilated_windows_reference(
+            padded, ky, kx, dilation, y0, y1)
+    return out.reshape(cout, height, width) + bias[:, None, None]
+
+
 def avg_smooth_reference(x, d):
     """Windowed mean with the window clipped to the image at the borders."""
     channels, height, width = x.shape

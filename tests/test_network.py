@@ -474,8 +474,8 @@ def serial_branches(monkeypatch):
 BRANCH_RECORDS = ("conv_inputs", "relu_masks", "drop_masks")
 
 
-def run_step(config, monkeypatch, serial):
-    """Train forward with cache, backward and an eval forward on one 64x64 scene.
+def run_step(config, monkeypatch, serial, grid=64):
+    """Train forward with cache, backward and an eval forward on one grid x grid scene.
 
     ``backward`` consumes the cache, so the branch records are copied out
     before it runs.
@@ -484,8 +484,8 @@ def run_step(config, monkeypatch, serial):
         if serial:
             serial_branches(patch)
         net = build(config, SeededRng(31))
-        sar, mwr = scene_arrays(np.random.default_rng(32), config, height=64, width=64)
-        label = (np.random.default_rng(33).random((1, 64, 64)) > 0.5).astype(np.float64)
+        sar, mwr = scene_arrays(np.random.default_rng(32), config, height=grid, width=grid)
+        label = (np.random.default_rng(33).random((1, grid, grid)) > 0.5).astype(np.float64)
         train_pass = forward(net, sar, mwr, mode="train", rng=SeededRng(34), keep_cache=True)
         records = [{name: list(getattr(bc, name)) for name in BRANCH_RECORDS}
                    for bc in train_pass.cache.branches]
@@ -530,6 +530,15 @@ def test_pool_tasks_keep_the_callers_errstate():
 def test_pooled_and_serial_branches_agree_bitwise(config, monkeypatch):
     assert_steps_equal(run_step(config, monkeypatch, serial=True),
                        run_step(config, monkeypatch, serial=False))
+
+
+def test_pooled_and_serial_branches_agree_bitwise_on_grouped_one_row_bands(monkeypatch):
+    # At 128x128 the large variant's 28->28 convs run 128 one-row bands, two
+    # to a batched GEMM call; at 64x64 their bands have two rows.
+    config = ModelConfig.for_variant("large", mwr_factor=8)
+    assert ops._conv_plan(28, 28, 3, 1, 128, 128).runs == ((0, 1, 128, 2),)
+    assert_steps_equal(run_step(config, monkeypatch, serial=True, grid=128),
+                       run_step(config, monkeypatch, serial=False, grid=128))
 
 
 def test_branches_agree_bitwise_with_a_worker_each_and_rapid_switching(monkeypatch):

@@ -35,6 +35,7 @@ from helpers import (
     batch_norm_backward_reference,
     batch_norm_reference,
     conv2d_backward_input_reference,
+    conv2d_per_band_reference,
     conv2d_reference,
     conv2d_single_gemm,
     dilated_windows_reference,
@@ -171,16 +172,19 @@ def test_conv2d_bands_agree_with_one_whole_image_gemm_on_floats():
 @pytest.mark.parametrize("grid", [8, 32, 64, 128])
 def test_conv2d_bands_stay_on_the_small_gemm_kernel_in_one_aligned_buffer(grid, monkeypatch):
     # Each band's GEMM does at most _BAND_MACS multiply-adds; 14 outputs keep
-    # the row bands of 512 KiB window matrices.  Every band's windows sit at
-    # the head of one 64-byte-aligned buffer that the result never aliases.
+    # the row bands of 512 KiB window matrices.  Each group of bands is one
+    # window build: its bands' matrices, each on a 64-byte boundary and
+    # together within _GROUP_BYTES, sit at the head of one buffer that the
+    # result never aliases.
     windows = []
-    dilated_windows = ops._dilated_windows
+    window_groups = ops._window_groups
 
     def recording(*args):
-        windows.append(dilated_windows(*args))
-        return windows[-1]
+        for group in window_groups(*args):
+            windows.append(group[0])
+            yield group
 
-    monkeypatch.setattr(ops, "_dilated_windows", recording)
+    monkeypatch.setattr(ops, "_window_groups", recording)
     rng = np.random.default_rng(grid)
     for cin in (2, 14, 28):
         x = rng.normal(size=(cin, grid, grid))
@@ -194,16 +198,51 @@ def test_conv2d_bands_stay_on_the_small_gemm_kernel_in_one_aligned_buffer(grid, 
                 if cout == 14:
                     rows = max(1, 512 * 1024 // (8 * taps * grid))
                     assert plan.bands[0] == (0, min(rows, grid))
+                groups = [min(per, count - i) for _, _, count, per in plan.runs
+                          for i in range(0, count, per)]
+                assert plan.bands == tuple((y0 + i * rows, y0 + (i + 1) * rows)
+                                           for y0, rows, count, _ in plan.runs
+                                           for i in range(count))
                 windows.clear()
                 out = conv2d(x, kernels, bias, dilation=dilation)
-                assert len(windows) == len(plan.bands)
                 if len(plan.bands) > 1:
-                    assert windows[0].ctypes.data % 64 == 0
+                    assert [len(win) for win in windows] == groups
                     for win in windows:
                         assert win.ctypes.data == windows[0].ctypes.data
+                        assert all(band.ctypes.data % 64 == 0 for band in win)
                         assert not np.shares_memory(win, out)
+                        assert len(win) == 1 or \
+                            (len(win) - 1) * win.strides[0] + win[0].nbytes <= ops._GROUP_BYTES
+                else:
+                    assert not windows
                 npt.assert_allclose(out, conv2d_single_gemm(x, kernels, bias, dilation),
                                     rtol=1e-12, atol=1e-12 * np.abs(out).max())
+
+
+# Grids below 128 run every rate 1-16; larger ones the network's rates and two
+# odd ones, and 256x256 the extremes, which bounds the test's time.
+EVERY_RATE = tuple(range(1, 17))
+PER_BAND_SWEEP = (
+    [((8, 8), EVERY_RATE + (2**40,))]
+    + [(grid, EVERY_RATE) for grid in ((13, 13), (16, 16), (32, 32), (37, 37), (37, 13),
+                                       (64, 64), (96, 64), (100, 7))]
+    + [(grid, (1, 2, 3, 4, 5, 8, 16)) for grid in ((128, 128), (129, 131))]
+    + [((256, 256), (1, 16))])
+
+
+@pytest.mark.parametrize("grid, rates", PER_BAND_SWEEP,
+                         ids=[f"{height}x{width}" for (height, width), _ in PER_BAND_SWEEP])
+def test_conv2d_is_byte_identical_to_one_gemm_per_band(grid, rates):
+    # Grouping equal bands into one batched matmul keeps every band's GEMM
+    # as it was, so float outputs keep their bytes, not just their values.
+    height, width = grid
+    rng = np.random.default_rng(height * 1000 + width)
+    for cin, cout in ((2, 14), (14, 14), (14, 28), (28, 28), (3, 5)):
+        x = rng.normal(size=(cin, height, width))
+        kernels, bias = rng.normal(size=(cout, cin, 3, 3)), rng.normal(size=cout)
+        for dilation in rates:
+            assert conv2d(x, kernels, bias, dilation).tobytes() == conv2d_per_band_reference(
+                x, kernels, bias, dilation).tobytes(), f"{cin}->{cout} d {dilation}"
 
 
 @pytest.mark.parametrize("cin", [2, 14])
@@ -556,16 +595,33 @@ def test_avg_smooth_outputs_share_no_memory_with_the_cached_counts():
     x, g = rng.normal(size=(3, 9, 8)), rng.normal(size=(3, 9, 8))
     outs = [avg_smooth(x, 4), avg_smooth(x, 4), avg_smooth_backward(g, 4),
             avg_smooth_backward(g, 4)]
-    counts = ops._window_counts(9, 8, *ops._window_reach(4, 9))
-    assert ops._window_counts(9, 8, *ops._window_reach(4, 9)) is counts
-    assert not counts.flags.writeable
+    reach = ops._window_reach(4, 9)
+    counts = [ops._axis_counts(9, *reach), ops._axis_counts(8, *reach)]
+    assert ops._axis_counts(9, *reach) is counts[0]
+    assert not any(axis.flags.writeable for axis in counts)
     npt.assert_array_equal(outs[0], outs[1])
     npt.assert_array_equal(outs[2], outs[3])
     for i, out in enumerate(outs):
         assert out.flags.writeable
-        assert not np.shares_memory(out, counts)
+        assert not any(np.shares_memory(out, axis) for axis in counts)
         for other in outs[i + 1:]:
             assert not np.shares_memory(out, other)
+
+
+def test_avg_smooth_holds_per_axis_counts_not_count_grids():
+    # One cached count grid per rate held 2 MiB at 512x512, 30 MiB over rates
+    # 2-16, for the life of the process.  The per-axis counts hold 4 KiB each.
+    ops._axis_counts.cache_clear()
+    x = np.random.default_rng(17).normal(size=(1, 512, 512))
+    tracemalloc.start()
+    try:
+        for d in range(2, 17):
+            avg_smooth(x, d)
+            avg_smooth_backward(x, d)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 256 * 1024, held
 
 
 @pytest.mark.parametrize("height, width", [(8, 8), (13, 37), (5, 1), (1, 7)])
