@@ -204,6 +204,9 @@ def collect_mixing_stats(net: FusionNetwork, scenes, btemp_source: str = NATIVE_
     coarse grid (the supported analysis path) or the upsampled fine grid,
     which exists so that the downstream refusal of such statistics can be
     demonstrated.  Standard deviations are population standard deviations.
+    The pass holds one scene's mixing inputs plus O(D) accumulators: each
+    scene's are freed once merged, so at 128x128 the large variant's pass
+    peaks where one eval forward does, about 44 MB traced (``BENCH_35.json``).
     The first scene whose mixing inputs or squared deviations are not finite
     is refused with :class:`DataError` naming it and the input's group,
     unwarned by numpy.
@@ -244,6 +247,8 @@ def collect_mixing_stats(net: FusionNetwork, scenes, btemp_source: str = NATIVE_
             delta = block_mean - mean[sel]
             m2[sel] += flat.sum(axis=1) + delta**2 * (n * i / (i + 1))
             mean[sel] += delta / (i + 1)
+        # Merged: free this scene's mixing inputs before the next forward allocates its own.
+        del mix, btemp, block, flat
         bad = np.flatnonzero(~np.isfinite(m2))  # an inf or NaN stays in the sum once there
         if bad.size:
             group = next(g.name for g in cfg.groups if g.start <= bad[0] < g.stop)

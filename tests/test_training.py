@@ -1,12 +1,13 @@
 """Loss arithmetic, the SGD step, the epoch loop, and mixing statistics."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from icefusion import ops, training
+from icefusion import network, ops, training
 from icefusion.errors import ConfigurationError, DataError, DimensionError, UsageError
 from icefusion.importance import analyze
 from icefusion.network import (
@@ -501,3 +502,24 @@ def test_large_offset_sigma_matches_two_pass(offset, spread):
     assert not set(analyze(net, stats).dead_nodes) & set(range(70, 84))
     for before, scene in zip(mwr_before, scenes):
         npt.assert_array_equal(scene.mwr, before)
+
+
+@pytest.mark.parametrize("btemp_source", [NATIVE_GRID, UPSAMPLED_GRID])
+def test_stats_pass_holds_one_scene_at_a_time(monkeypatch, btemp_source):
+    # Each scene's mixing inputs are freed once merged, so the serial pass
+    # peaks where one eval forward does (1.00x); holding the previous
+    # scene's through the next forward read 1.52x.
+    monkeypatch.setattr(network, "_POOL_MIN_PIXELS", 10**9)
+    net = build(ModelConfig.for_variant("small", mwr_factor=8), SeededRng(13))
+    scenes = training_scenes(n=3, hw=64, factor=8)
+    forward(net, scenes[0].sar, scenes[0].mwr, mode="eval")  # plans and caches warmed
+    tracemalloc.start()
+    try:
+        forward(net, scenes[0].sar, scenes[0].mwr, mode="eval")
+        forward_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        collect_mixing_stats(net, scenes, btemp_source=btemp_source)
+        stats_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats_peak <= 1.1 * forward_peak, stats_peak / forward_peak
